@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ParameterViolation, SpaceTooLarge
 from .gf import check_prime
-from .net import BCAST, Scenario, _ser, run_scenario
+from .net import BCAST, Scenario, run_scenario, write_envelope
 
 STATE_LIMIT = 1 << 24
 _CHUNK = 1 << 18
@@ -88,13 +88,11 @@ def view_of(transcript, subset):
     order is the transcript's canonical delivery order.
     """
     members = tuple(sorted(set(int(x) for x in subset)))
-    lines = []
+    buf = bytearray()
     for e in transcript.envelopes:
-        if e.channel != BCAST and e.recipient not in members:
-            continue
-        to = "*" if e.channel == BCAST else str(e.recipient)
-        lines.append(f"E|{e.round}|{e.sender}|{to}|{e.phase}|{_ser(e.payload)}")
-    return ViewRecord(members, "\n".join(lines).encode())
+        if e.channel == BCAST or e.recipient in members:
+            write_envelope(buf, e)
+    return ViewRecord(members, bytes(buf[:-1]))
 
 
 class AuditTemplate(NamedTuple):

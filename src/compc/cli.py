@@ -29,7 +29,7 @@ from .audit import (LEAK_PRODUCT, LEAK_SOURCE, AuditTemplate, enumerate_views,
 from .errors import CompcError, ParameterViolation, ProtocolAbort, TooFewSurvivors
 from .gf import DEFAULT_PRIME, FMatrix
 from .mpc import ProgramOp, multiply_semi_honest, recovery_threshold
-from .net import STRATEGY_NAMES, Scenario, _ser, run_scenario
+from .net import STRATEGY_NAMES, Scenario, encode, run_scenario
 from .sharing import reconstruct
 
 OK, CONFIG_ERROR, ABORT, LEAKY = 0, 2, 3, 4
@@ -196,7 +196,7 @@ def direct_eval(program, inputs, p):
 
 
 def _digest(matrix):
-    return hashlib.sha256(_ser(matrix.a).encode()).hexdigest()
+    return hashlib.sha256(encode(matrix.a)).hexdigest()
 
 
 def _eliminations(transcript):

@@ -565,10 +565,14 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kinds=None):
     # round 3: complaints. Vectorized screen first: party i must act on
     # instance k iff it lacks the pair or some sender's stack is
     # missing, incomplete, or differs from i's own evaluations.
-    suspect = {i: set() for i in workers}
+    # suspect[i][iid] lists the senders the screen did not clear; a
+    # cleared sender's points match i's own, so complaints_for could
+    # never name it, and only the others are passed on.
+    suspect = {i: {} for i in workers}
     for i in workers:
         held, u, v = sent_cross.get(i, ((), None, None))
-        suspect[i].update(set(all_iids) - set(held))
+        for iid in set(all_iids) - set(held):
+            suspect[i][iid] = []    # no pair: a self-complaint
         if not held:
             continue
         for jx, j in enumerate(workers):
@@ -576,21 +580,22 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kinds=None):
                 continue
             got = recv[i].get(j)
             if got is None or set(got[0]) != set(held):
-                suspect[i].update(held)
-                continue
-            pos, us, vs = got
-            order = [pos[iid] for iid in held]
-            bad = ((us[order] != v[:, jx]) | (vs[order] != u[:, jx])) \
-                .any(axis=tuple(range(1, us.ndim)))
-            suspect[i].update(iid for k, iid in enumerate(held) if bad[k])
+                doubted = held
+            else:
+                pos, us, vs = got
+                order = [pos[iid] for iid in held]
+                bad = ((us[order] != v[:, jx]) | (vs[order] != u[:, jx])) \
+                    .any(axis=tuple(range(1, us.ndim)))
+                doubted = [held[k] for k in np.flatnonzero(bad)]
+            for iid in doubted:
+                suspect[i].setdefault(iid, []).append(j)
 
     outboxes = {}
     for i in workers:
         items = []
-        for iid in sorted(suspect[i]):
+        for iid, senders in sorted(suspect[i].items()):
             for item in complaints_for(i, states[i].get(iid),
-                                       cross_views(i, iid),
-                                       [j for j in workers if j != i], p):
+                                       cross_views(i, iid), senders, p):
                 items.append((iid,) + item)
         outboxes[i] = [(BCAST, -1, ("evc", tuple(items)))] if items else []
     outboxes = adv.filter(ctx(f"{prefix}:complain"), outboxes)

@@ -98,23 +98,91 @@ class Envelope(NamedTuple):
     payload: tuple
 
 
-def _ser(obj):
-    """Canonical, unambiguous text form for payload trees."""
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, str):
-        return obj
-    if obj is None:
-        return "~"
+# Arrays with more entries than this are formatted in numpy; for
+# smaller ones numpy's per-call set-up costs more than str() per entry
+# (the two cost the same at about 150 int64 entries).
+_SMALL_ARRAY = 128
+
+
+def _digits(flat):
+    """Comma-separated decimal ASCII of a nonnegative integer vector.
+
+    Row r of q holds every entry divided by 10**(width-1-r), so digit
+    row r is q[r] - 10*q[r-1], and a digit is a leading zero exactly
+    where q[r] is 0. The digits fill a (width+1, n) byte grid whose
+    last row is commas; leading zeros become NUL. Read column by
+    column, with the NULs and the final comma dropped, the grid is the
+    text.
+    """
+    top = int(flat.max())
+    width = len(str(top))
+    q = np.empty((width, flat.size),
+                 dtype=np.uint32 if top < 2 ** 32 else np.uint64)
+    q[-1] = flat
+    for r in range(width - 1, 0, -1):
+        np.floor_divide(q[r], 10, out=q[r - 1])
+    grid = np.empty((width + 1, flat.size), dtype=np.uint8)
+    digits = grid[:width]
+    digits[0] = q[0]
+    np.subtract(q[1:], q[:-1] * 10, out=digits[1:], casting="unsafe")
+    digits += ord("0")
+    digits[:-1] *= q[:-1] != 0
+    grid[width] = ord(",")
+    return memoryview(grid.T.tobytes().replace(b"\0", b""))[:-1]
+
+
+def _write(buf, obj):
+    """Append the canonical, unambiguous text form of a payload tree
+    to buf (a bytearray); see "Transcript format" in README.md."""
     if isinstance(obj, np.ndarray):
-        dims = ",".join(str(d) for d in obj.shape)
-        body = ",".join(str(int(v)) for v in obj.ravel())
-        return f"[{dims}:{body}]"
-    if isinstance(obj, (tuple, list)):
-        return "(" + ";".join(_ser(x) for x in obj) + ")"
-    if isinstance(obj, bool):
-        return "1" if obj else "0"
-    raise TypeError(f"unserializable payload element {type(obj)}")
+        buf += f"[{','.join(map(str, obj.shape))}:".encode()
+        flat = obj.ravel()
+        if flat.size > _SMALL_ARRAY and flat.dtype.kind in "iu" \
+                and flat.min() >= 0:
+            buf += _digits(flat)
+        else:
+            values = flat.tolist()
+            if flat.dtype.kind not in "iu":
+                values = map(int, values)
+            buf += ",".join(map(str, values)).encode()
+        buf += b"]"
+    elif isinstance(obj, (tuple, list)):
+        try:    # instance-id tuples: all strings, one join
+            buf += f"({';'.join(obj)})".encode()
+        except TypeError:
+            buf += b"("
+            _write_all(buf, obj, b";")
+            buf += b")"
+    elif isinstance(obj, str):
+        buf += obj.encode()
+    elif isinstance(obj, (int, np.integer)):
+        buf += str(int(obj)).encode()
+    elif obj is None:
+        buf += b"~"
+    else:
+        raise TypeError(f"unserializable payload element {type(obj)}")
+
+
+def _write_all(buf, items, sep):
+    for k, x in enumerate(items):
+        if k:
+            buf += sep
+        _write(buf, x)
+
+
+def encode(obj):
+    """The canonical text form of a payload tree, as bytes."""
+    buf = bytearray()
+    _write(buf, obj)
+    return bytes(buf)
+
+
+def write_envelope(buf, e):
+    """Append envelope e's transcript line, newline included, to buf."""
+    to = "*" if e.channel == BCAST else str(e.recipient)
+    buf += f"E|{e.round}|{e.sender}|{to}|{e.phase}|".encode()
+    _write(buf, e.payload)
+    buf += b"\n"
 
 
 @dataclass
@@ -128,17 +196,20 @@ class Transcript:
         self.events.append(tuple(fields))
 
     def serialize(self):
-        lines = []
+        buf = bytearray()
         for e in self.envelopes:
-            to = "*" if e.channel == BCAST else str(e.recipient)
-            lines.append(f"E|{e.round}|{e.sender}|{to}|{e.phase}|{_ser(e.payload)}")
+            write_envelope(buf, e)
         for ev in self.events:
-            lines.append("V|" + "|".join(_ser(x) for x in ev))
+            buf += b"V|"
+            _write_all(buf, ev, b"|")
+            buf += b"\n"
         if self.abort is not None:
-            lines.append(f"A|{self.abort[0]}|{self.abort[1]}")
+            buf += f"A|{self.abort[0]}|{self.abort[1]}\n".encode()
         if self.master_output is not None:
-            lines.append(f"M|{_ser(self.master_output.a)}")
-        return "\n".join(lines) + "\n"
+            buf += b"M|"
+            _write(buf, self.master_output.a)
+            buf += b"\n"
+        return buf.decode() if buf else "\n"
 
 
 class Network:

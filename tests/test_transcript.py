@@ -1,0 +1,179 @@
+"""The transcript text: encoder against the reference, and a golden run.
+
+`compc.net` formats large nonnegative integer arrays in numpy and the
+rest with str(); both must give exactly the text of the reference
+encoder in `transcript_ref.py`, which builds one string per element.
+The golden test pins the whole format on a real adversarial run.
+"""
+
+import hashlib
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from compc import cli, evss
+from compc.audit import view_of
+from compc.gf import DEFAULT_PRIME, FMatrix
+from compc.mpc import ProgramOp
+from compc.net import (BCAST, PRIV, Envelope, Scenario, Transcript,
+                       _SMALL_ARRAY, encode, run_scenario)
+from transcript_ref import ref_envelope_line, ref_ser, ref_serialize
+
+THRESHOLD_SCN = Path(__file__).resolve().parent.parent / "scenarios" \
+    / "threshold.scn"
+
+EDGES = [0, 9, 10, 99, 100, DEFAULT_PRIME - 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32,
+         10 ** 18, 2 ** 63 - 1]
+SIZES = [0, 1, 2, _SMALL_ARRAY - 1, _SMALL_ARRAY, _SMALL_ARRAY + 1,
+         _SMALL_ARRAY + 2, 3 * _SMALL_ARRAY + 5]
+
+nonneg = st.sampled_from(EDGES) | st.integers(0, 2 ** 63 - 1) \
+    | st.integers(0, 2 ** 31)
+signed = nonneg | st.integers(-2 ** 63, -1) | st.sampled_from([-1, -10])
+
+
+@st.composite
+def int64_arrays(draw):
+    size = draw(st.sampled_from(SIZES) | st.integers(0, 4 * _SMALL_ARRAY))
+    values = signed if draw(st.booleans()) else nonneg
+    flat = draw(hnp.arrays(np.int64, size, elements=values))
+    if draw(st.booleans()) and size % 2 == 0 and size:
+        return flat.reshape(2, size // 2)
+    return flat
+
+
+def scenario(n, t, m, p, inputs, program, adversaries=()):
+    return Scenario(n=n, t=t, m=m, p=p, seed=21, z=inputs[0].shape[0],
+                    program=tuple(program), adversaries=adversaries,
+                    inputs=tuple(FMatrix(x, p) for x in inputs))
+
+
+arrays = int64_arrays() | st.builds(np.int64, signed).map(np.array)
+leaves = (arrays | st.text() | st.integers() | st.builds(np.int64, signed)
+          | st.none())
+trees = st.recursive(
+    leaves,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.lists(st.text(), max_size=4).map(tuple),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees)
+def test_encoder_matches_reference(tree):
+    assert encode(tree) == ref_ser(tree).encode()
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("value", EDGES)
+def test_every_edge_value_on_both_sides_of_the_cutoff(size, value):
+    a = np.full(size, value, dtype=np.int64)
+    a[::3] = 0
+    assert encode(a) == ref_ser(a).encode()
+    a[-1:] = -1
+    assert encode(a) == ref_ser(a).encode()
+    a[1::2] = -value
+    assert encode(a) == ref_ser(a).encode()
+
+
+def test_zero_dimensional_and_empty_arrays():
+    assert encode(np.array(7)) == b"[:7]"
+    assert encode(np.zeros((0, 3), dtype=np.int64)) == b"[0,3:]"
+    assert encode((None, "a", 5, [])) == b"(~;a;5;())"
+
+
+@pytest.mark.parametrize("a", [
+    np.arange(300, dtype=np.int32), np.arange(300, dtype=np.uint64) * 7,
+    np.array([True, False]), np.array([1.5, -2.7, 3.0])])
+def test_other_dtypes_print_as_integers(a):
+    assert encode(a) == ref_ser(a).encode()
+
+
+@pytest.mark.parametrize("bad", [1.5, np.bool_(True), {"a": 1}, (1, b"x")])
+def test_unknown_elements_are_refused(bad):
+    with pytest.raises(TypeError):
+        ref_ser(bad)
+    with pytest.raises(TypeError):
+        encode(bad)
+
+
+envelopes = st.builds(
+    Envelope, st.integers(0, 500), st.integers(0, 30),
+    st.sampled_from([BCAST, PRIV]), st.integers(-1, 30),
+    st.text(min_size=1), trees)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(envelopes, max_size=5), st.lists(st.lists(trees, max_size=4)
+                                                   .map(tuple), max_size=3),
+       st.none() | st.tuples(st.text(), st.text()),
+       st.none() | int64_arrays())
+def test_serialize_matches_reference(envs, events, abort, master):
+    tr = Transcript(envelopes=list(envs), events=list(events), abort=abort,
+                    master_output=None if master is None
+                    else types.SimpleNamespace(a=master))
+    assert tr.serialize() == ref_serialize(tr)
+
+
+def test_empty_transcript_is_one_newline():
+    assert Transcript().serialize() == ref_serialize(Transcript()) == "\n"
+
+
+def test_views_use_the_transcript_line_format():
+    tr = run_scenario(scenario(
+        4, 1, 1, 13, [np.arange(4).reshape(2, 2)],
+        [ProgramOp("share", (0, "direct"), "x"), ProgramOp("reveal", ("x",))]))
+    for subset in ((), (1,), (2, 3)):
+        lines = [ref_envelope_line(e) for e in tr.envelopes
+                 if e.channel == BCAST or e.recipient in subset]
+        assert view_of(tr, subset).messages == "\n".join(lines).encode()
+
+
+GOLDEN_SHA256 = \
+    "31128bf3fce768fb34b844be128c16bc19a25f33abf98d558cf7f25bdc228359"
+GOLDEN_BYTES = 294_387
+GOLDEN_MASTER = \
+    "master=3edcae1b918b307a83c73e58a80a32009361f6ec7f87f8c944a5813d020038fd"
+
+
+def test_golden_threshold_transcript(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["run", "--scenario", str(THRESHOLD_SCN),
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().out.rstrip("\n").endswith(GOLDEN_MASTER)
+    data = (tmp_path / "run.transcript").read_bytes()
+    assert len(data) == GOLDEN_BYTES
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("name", ["Silent", "RandomByzantine",
+                                  "InconsistentEvssDealer"])
+def test_complaints_need_only_the_senders_the_screen_doubts(name,
+                                                            monkeypatch):
+    """run_evss_batch passes complaints_for only the senders whose cross
+    points its vectorised screen did not clear; checking every sender
+    must give the same transcript."""
+    n = 6
+    xs = [np.arange(16).reshape(4, 4) % 97, np.eye(4, dtype=np.int64)]
+    program = [ProgramOp("share", (0, "direct"), "a"),
+               ProgramOp("share", (1, "reverse"), "b"),
+               ProgramOp("mul", ("a", "b"), "c"),
+               ProgramOp("reveal", ("c",))]
+    s = scenario(n, 1, 2, 97, xs, program, adversaries=((2, name),))
+    screened = run_scenario(s)
+    assert any(e.phase.endswith(":complain") for e in screened.envelopes)
+
+    every = evss.complaints_for
+
+    def check_all(party, polys, cross_in, others, p):
+        return every(party, polys, cross_in,
+                     [j for j in range(1, n + 1) if j != party], p)
+
+    monkeypatch.setattr(evss, "complaints_for", check_all)
+    assert run_scenario(s).serialize() == screened.serialize()
