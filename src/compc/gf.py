@@ -111,25 +111,28 @@ def rref(a, p):
     r = arr(a, p).copy()
     rows, cols = r.shape
     pivots = []
-    lead = 0
-    for col in range(cols):
-        if lead >= rows:
-            break
-        piv = None
-        for i in range(lead, rows):
-            if r[i, col]:
-                piv = i
+    lead = col = 0
+    while lead < rows and col < cols:
+        if not r[lead, col]:
+            # jump to the next column with a nonzero entry at or below
+            # lead and swap that entry's row up
+            live = r[lead:, col:].any(axis=0)
+            skip = int(live.argmax())
+            if not live[skip]:
                 break
-        if piv is None:
-            continue
-        if piv != lead:
+            col += skip
+            piv = lead + int((r[lead:, col] != 0).argmax())
             r[[lead, piv]] = r[[piv, lead]]
         r[lead] = r[lead] * fe_inv(int(r[lead, col]), p) % p
-        for i in range(rows):
-            if i != lead and r[i, col]:
-                r[i] = (r[i] - r[i, col] * r[lead]) % p
+        # eliminate col from every other row at once; each product is
+        # below p**2 < 2**62, so int64 never wraps
+        factors = r[:, col].copy()
+        factors[lead] = 0
+        r -= factors[:, None] * r[lead]
+        r %= p
         pivots.append(col)
         lead += 1
+        col += 1
     return r, pivots
 
 
