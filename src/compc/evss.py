@@ -67,12 +67,6 @@ class EvssDeal:
         gc = _weighted_axis(self.grid, w, 0, self.p)
         return fc, gc
 
-    def value_at(self, x, y):
-        wx = powers(x, self.d1, self.p)
-        wy = powers(y, self.d1, self.p)
-        gy = _weighted_axis(self.grid, wy, 1, self.p)
-        return _weighted_axis(gy, wx, 0, self.p)
-
 
 def _weighted_axis(a, w, axis, p):
     """sum(a * w) along one axis with per-term reduction."""
@@ -166,17 +160,19 @@ def reveals_for(deal, complaints, workers):
     for i in sorted(complaints):
         if i not in workers:
             continue
+        fc, gc = pair = deal.polys_for(i)
         for item in complaints[i]:
             if item[0] == "self":
                 wrong = True
             elif item[0] == "pair":
+                # f_i(a_j) = S(a_j, a_i) and g_i(a_j) = S(a_i, a_j)
                 _, j, u, v = item
-                wrong = not (_values_eq(u, deal.value_at(j, i))
-                             and _values_eq(v, deal.value_at(i, j)))
+                wrong = not (_values_eq(u, _poly_at(fc, j, deal.p))
+                             and _values_eq(v, _poly_at(gc, j, deal.p)))
             else:
                 continue
             if wrong:
-                out[i] = deal.polys_for(i)
+                out[i] = pair
                 break
     return out
 
@@ -392,7 +388,8 @@ class BatchInstance(NamedTuple):
 
 class EvssOutcome(NamedTuple):
     accepted: bool
-    shares: dict    # worker -> ndarray or None
+    shares: dict    # worker -> ndarray f_i(0), or None
+    g: dict         # worker -> (d+1, rows, cols) coeffs of g_i, or None
 
 
 def _grid_polys(grids, alphas, p):
@@ -684,9 +681,10 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kinds=None):
             accepted = sum(votes[b.iid].values()) >= s.n - s.t
         else:
             accepted = True
-        shares = {}
+        shares, gs = {}, {}
         for i in workers:
-            pair = states[i].get(b.iid)
-            shares[i] = pair[0][0] if (accepted and pair is not None) else None
-        out[b.iid] = EvssOutcome(accepted, shares)
+            pair = states[i].get(b.iid) if accepted else None
+            shares[i] = None if pair is None else pair[0][0]
+            gs[i] = None if pair is None else pair[1]
+        out[b.iid] = EvssOutcome(accepted, shares, gs)
     return out

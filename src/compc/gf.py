@@ -10,7 +10,8 @@ helpers below take care of that.
 
 import numpy as np
 
-from .errors import DimensionMismatch, DivisionByZero, IndivisibleSplit
+from .errors import (DimensionMismatch, DivisionByZero, IndivisibleSplit,
+                     ParameterViolation)
 
 DEFAULT_PRIME = 2_147_483_647  # 2**31 - 1
 
@@ -44,8 +45,12 @@ def is_prime(n):
 
 
 def check_prime(p):
+    """p itself, if it is a prime the int64 kernels handle exactly."""
     if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
+        raise ParameterViolation(f"modulus {p} is not prime")
+    if p >= 2 ** 31:
+        raise ParameterViolation(
+            f"prime {p} is not below 2**31, the int64 arithmetic bound")
     return p
 
 

@@ -21,8 +21,6 @@ Failure is surfaced as DecodingFailure and is always an abort signal:
 no best-effort answer is ever returned.
 """
 
-from itertools import combinations
-
 import numpy as np
 
 from .errors import DecodingFailure, ParameterViolation
@@ -212,63 +210,36 @@ def decode(d_f, alphas, received, e_max, p):
     return poly, frozenset(xs[i] for i in mism)
 
 
-def syndrome_decode(code, syn, e_max, forced=()):
+def syndrome_decode(code, syn, e_max):
     """Attribute a syndrome to an error vector of bounded support.
 
-    Finds e with e . H^T = syn whose support lies inside
-    forced | S with |forced| + |S| <= e_max, and returns it as
-    {point: error value}; zero-valued positions are dropped. Returns
-    None when no such vector exists. Uniqueness within the budget
-    follows whenever the code distance exceeds 2*e_max, which every
-    call site guarantees by construction.
-
-    Contiguous exponent sets starting at 0 reduce to ordinary decoding
-    of a particular solution; gapped sets enumerate candidate supports
-    by increasing weight, always including the forced points.
+    code must have a contiguous exponent set starting at 0. Finds e
+    with e . H^T = syn and at most e_max nonzero positions, and returns
+    it as {point: error value}; zero-valued positions are dropped.
+    Returns None when no such vector exists. It is unique whenever the
+    code distance exceeds 2*e_max, which every call site guarantees by
+    construction. The search reduces to ordinary decoding of a
+    particular solution.
     """
     p = code.p
+    if not (code.exps.contiguous and code.exps and code.exps[0] == 0):
+        raise ParameterViolation(
+            "syndrome decoding needs exponents 0..d without a gap")
     syn = arr(syn, p)
     scalar = syn.ndim == 1
-    flat_s = syn.reshape(code.H.shape[0], -1)
     shape = syn.shape[1:]
-    forced = sorted({f % p for f in forced})
-    if len(forced) > e_max:
+    w = solve_particular(code.H, syn.reshape(code.H.shape[0], -1), p)
+    if w is None:
         return None
-
-    if code.exps.contiguous and code.exps and code.exps[0] == 0:
-        w = solve_particular(code.H, flat_s, p)
-        if w is None:
-            return None
-        word = w.reshape((code.n,) + shape)
-        try:
-            poly, _ = decode(code.exps[-1], code.alphas, word, e_max, p)
-        except (DecodingFailure, ParameterViolation):
-            return None
-        evals = poly.eval_many(code.alphas).reshape((code.n,) + shape)
-        err = (word - evals) % p
-        out = {}
-        for i, a in enumerate(code.alphas):
-            if err[i].any() if not scalar else err[i]:
-                out[a] = int(err[i]) if scalar else err[i]
-        return out
-
-    idx = {a: i for i, a in enumerate(code.alphas)}
-    forced_idx = [idx[a] for a in forced]
-    rest = [i for i in range(code.n) if i not in forced_idx]
-    for k in range(0, e_max - len(forced_idx) + 1):
-        for combo in combinations(rest, k):
-            support = sorted(forced_idx + list(combo))
-            if not support:
-                if not flat_s.any():
-                    return {}
-                continue
-            vals = solve_particular(code.H[:, support], flat_s, p)
-            if vals is None:
-                continue
-            out = {}
-            for row, i in enumerate(support):
-                v = vals[row].reshape(shape) if not scalar else int(vals[row][0])
-                if (v.any() if not scalar else v):
-                    out[code.alphas[i]] = v
-            return out
-    return None
+    word = w.reshape((code.n,) + shape)
+    try:
+        poly, _ = decode(code.exps[-1], code.alphas, word, e_max, p)
+    except (DecodingFailure, ParameterViolation):
+        return None
+    evals = poly.eval_many(code.alphas).reshape((code.n,) + shape)
+    err = (word - evals) % p
+    out = {}
+    for i, a in enumerate(code.alphas):
+        if err[i].any() if not scalar else err[i]:
+            out[a] = int(err[i]) if scalar else err[i]
+    return out

@@ -11,15 +11,18 @@ phase with eliminations applied at its end:
     syndrome against the degree code is computed publicly and decoded;
     parties whose constant is off the codeword are eliminated.
   - verify_gap_form: checks that accepted subshare polynomials keep
-    their interior zero run. The parity rows of the gapped code are
-    computed through shares_times_matrix over fresh zero-gap
-    re-sharings, so nothing about the values leaks (every parity
-    constant is zero for honest origins). A nonzero parity is
-    attributed: decodable as an error vector within the remaining
-    adversary budget means the re-sharers at those positions lied;
-    undecodable means the origin's own polynomial breaks the gap form,
-    because a gap violation under the EVSS degree bound sits farther
-    from the gapped code than any in-budget error vector can reach.
+    their interior zero run, from the EVSS cross polynomials alone.
+    Origin o's subshare Q_o(y) = S_o(0, y) sits in a bivariate S_o of
+    degree d = zeta+t-1 of which party i holds g_i(y) = S_o(alpha_i, y).
+    With H the parity matrix of the gapped code over the live points,
+    P_o(x) = sum_j H_j S_o(x, alpha_j) has degree d and P_o(0) is the
+    gap parity of Q_o. Each party broadcasts P_o(alpha_i), computed
+    locally from g_i, and the word is decoded publicly: a nonzero
+    constant eliminates the origin, and a row off the decoded codeword
+    eliminates its sender. Honest rows lie on P_o once the origin's
+    EVSS is accepted. For an honest origin P_o(0) = 0, and what any t
+    parties see of the deal and the rows does not depend on Q_o(0)
+    (the test suite checks this exactly with a rank test).
   - eval_shared_poly: collaborative public evaluation of a shared
     polynomial at an arbitrary point, built from a zero-gap
     subshare_of_shares and one decoded recombination broadcast.
@@ -37,9 +40,9 @@ import numpy as np
 
 from .errors import (DecodingFailure, ParameterViolation, TooFewSurvivors)
 from .evss import BatchInstance, evss_deal, run_evss_batch
-from .gf import FMatrix
+from .gf import FMatrix, mat_mul
 from .net import BCAST, rng_for
-from .poly import lagrange_coeffs
+from .poly import lagrange_coeffs, vandermonde
 from .rscode import build_code, decode, syndrome_decode
 from .sharing import ShareLabel
 
@@ -85,6 +88,7 @@ class SubshareBundle(NamedTuple):
     values: dict        # recipient -> ndarray, Q_origin(alpha_recipient)
     zeta: int
     degree_claim: int
+    g: dict             # recipient -> (d+1, r, c) coeffs of S_origin(alpha, y)
 
 
 def _record_eliminations(network, phase, before, active):
@@ -169,9 +173,10 @@ def subshare_of_shares(network, adv, scenario, prefix, active, f_values,
     one EVSS batch; rejected dealers are eliminated and their values
     replaced by zeros. The constant vector (Q_1(0), ..) is then checked
     against the degree-p_deg code: its syndrome is computed publicly
-    with shares_times_matrix and decoded with the rejected positions
-    forced, and every decoded error position is eliminated with
-    BadSubshareValue. Returns ({origin: SubshareBundle}, active).
+    with shares_times_matrix and decoded, and every decoded error
+    position is eliminated with BadSubshareValue. Returns
+    ({origin: SubshareBundle}, active); each bundle keeps every
+    party's g polynomial of the origin's deal for verify_gap_form.
     """
     s, p, t = scenario, scenario.p, scenario.t
     live = active.active
@@ -197,10 +202,10 @@ def subshare_of_shares(network, adv, scenario, prefix, active, f_values,
             rejected.append(n)
         vals = {}
         for j in live:
-            v = res.shares.get(j) if res.accepted else None
+            v = res.shares[j]
             vals[j] = zero if v is None else v
             holdings[j][n] = vals[j]
-        bundles[n] = SubshareBundle(n, vals, zeta, zeta + t - 1)
+        bundles[n] = SubshareBundle(n, vals, zeta, zeta + t - 1, res.g)
 
     code = build_code(live, range(p_deg + 1), p)
     errs = {}
@@ -209,8 +214,7 @@ def subshare_of_shares(network, adv, scenario, prefix, active, f_values,
             network, adv, s, f"{prefix}:syn", active, holdings, live,
             code.H.T.copy(), zeta + t - 1, active.budget(t), shape)
         if syn.any():
-            errs = syndrome_decode(code, syn, active.budget(t),
-                                   forced=rejected)
+            errs = syndrome_decode(code, syn, active.budget(t))
             if errs is None:
                 raise DecodingFailure(
                     "subshare constants beyond the error budget")
@@ -227,11 +231,16 @@ def verify_gap_form(network, adv, scenario, prefix, active, bundles):
     """Check each origin's subshare polynomial for its interior zero run.
 
     bundles: {origin: SubshareBundle} from one subshare_of_shares call.
-    Nothing runs when the bundles carry no gap. Every live party
-    re-shares its value of every checked origin with a zero-gap EVSS
-    (one batch), the gapped-code parity rows are computed publicly, and
-    each origin's nonzero syndrome is attributed per the module
-    docstring. Returns the updated ActiveSet.
+    Nothing runs when the bundles carry no gap. Otherwise one broadcast
+    on <prefix>:par carries every live party's parity rows
+    P_o(alpha_i) for all checked origins, computed from the g
+    polynomials the origins' own EVSS deals gave it (see the module
+    docstring), and each origin's word is decoded once at degree
+    zeta+t-1 within the remaining adversary budget. A nonzero constant
+    eliminates the origin with BadGapForm; every corrected position
+    eliminates its sender with BadSubshareValue. A word beyond the
+    budget raises DecodingFailure and blames nobody. Returns the
+    updated ActiveSet.
     """
     s, p, t = scenario, scenario.p, scenario.t
     checked = [o for o in active.active if o in bundles]
@@ -240,69 +249,35 @@ def verify_gap_form(network, adv, scenario, prefix, active, bundles):
     zeta = bundles[checked[0]].zeta
     live = active.active
     before = set(active.eliminated)
-    budget = active.budget(t)
     shape = next(iter(bundles[checked[0]].values.values())).shape
-    lab = ShareLabel(1, t, 0)
+    # P_o(alpha_i) = sum_j H_j g_i(alpha_j) = (H V) @ (g_i's coefficients)
+    h = build_code(live, (0,) + tuple(range(zeta, zeta + t)), p).H
+    weights = mat_mul(h, vandermonde(live, zeta + t, p), p)
+    k, d1 = weights.shape
 
-    instances = []
-    for o in checked:
-        for j in live:
-            v = bundles[o].values.get(j)
-            v = np.zeros(shape, dtype=np.int64) if v is None else v
-            instances.append(BatchInstance(
-                f"t{o:03d}x{j:03d}", j, lab,
-                evss_deal(FMatrix(v, p), lab,
-                          rng_for(s.seed, j, f"{prefix}:t{o:03d}"))))
-    outcomes = run_evss_batch(network, adv, s, f"{prefix}:t", instances,
-                              kinds={b.iid: "subshare" for b in instances})
-
-    zero = np.zeros(shape, dtype=np.int64)
-    forced = {o: [] for o in checked}
-    t_holdings = {i: {} for i in live}
-    for b in instances:
-        o = int(b.iid[1:4])
-        j = b.dealer
-        res = outcomes[b.iid]
-        if not res.accepted:
-            forced[o].append(j)
-        for i in live:
-            v = res.shares.get(i) if res.accepted else None
-            t_holdings[i][(o, j)] = zero if v is None else v
-
-    code = build_code(live, (0,) + tuple(range(zeta, zeta + t)), p)
-    k = code.H.shape[0]
-    # one broadcast for all origins: per origin, the k parity columns
-    rows = {}
-    for i in live:
-        acc = np.zeros((len(checked) * k,) + shape, dtype=np.int64)
-        for ox, o in enumerate(checked):
-            for jx, j in enumerate(live):
-                v = t_holdings[i].get((o, j))
-                if v is not None:
-                    w = code.H[:, jx][:, None, None]
-                    acc[ox * k:(ox + 1) * k] = \
-                        (acc[ox * k:(ox + 1) * k] + w * v) % p
-        rows[i] = acc
+    # g[i, o] = party i's g coefficients for origin o, missing -> 0
+    g = np.zeros((len(live), len(checked), d1) + shape, dtype=np.int64)
+    for ox, o in enumerate(checked):
+        for ix, i in enumerate(live):
+            gi = bundles[o].g.get(i)
+            if gi is not None:
+                g[ix, ox] = gi
+    par = mat_mul(weights, np.moveaxis(g, 2, 0).reshape(d1, -1), p)
+    par = np.moveaxis(par.reshape((k, len(live), len(checked)) + shape), 0, 2)
+    rows = {i: par[ix].reshape((len(checked) * k,) + shape)
+            for ix, i in enumerate(live)}
     word = _broadcast_rows(network, adv, s, f"{prefix}:par", live, rows,
                            len(checked) * k, shape)
 
-    rejected_dealers = sorted({j for o in checked for j in forced[o]})
+    budget = active.budget(t)
     for ox, o in enumerate(checked):
-        syn = np.empty((k,) + shape, dtype=np.int64)
-        for col in range(k):
-            poly, _ = decode(t, live, word[:, ox * k + col], budget, p)
-            syn[col] = poly.coeff(0).a
-        if not syn.any() and not forced[o]:
-            continue
-        errs = syndrome_decode(code, syn, budget, forced=forced[o])
-        if errs is None:
+        part = word[:, ox * k:(ox + 1) * k].reshape(
+            (len(live), k * shape[0]) + shape[1:])
+        poly, errs = decode(zeta + t - 1, live, part, budget, p)
+        if poly.c[:1].any():      # the constant P_o(0); c is trimmed
             active.eliminate(o, BAD_GAP)
-        else:
-            for pt in sorted(errs):
-                if int(pt) not in forced[o]:
-                    active.eliminate(int(pt), BAD_SUBSHARE)
-    for j in rejected_dealers:
-        active.eliminate(j, EVSS_REJECTED)
+        for pt in sorted(errs):
+            active.eliminate(int(pt), BAD_SUBSHARE)
     _record_eliminations(network, prefix, before, active)
     return active
 

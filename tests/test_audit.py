@@ -11,6 +11,7 @@ cannot drift from the protocol.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -22,11 +23,14 @@ from compc.audit import (LEAK_PRODUCT, LEAK_SOURCE, AuditTemplate, DistTable,
                          monte_carlo_audit, product_round_audit, tv_distance,
                          view_of, _draw_count, _view_rows)
 from compc.errors import ParameterViolation, SpaceTooLarge
-from compc.gf import DEFAULT_PRIME, FMatrix
+from compc.evss import evss_deal_poly
+from compc.gf import DEFAULT_PRIME, FMatrix, mat_mul, rref
 from compc.mpc import ProgramOp, build_masks, masked_product
-from compc.net import BCAST, PRIV, Envelope, Scenario, Transcript, run_scenario
-from compc.poly import interpolate
+from compc.net import (BCAST, PRIV, AdversaryController, Envelope, Network,
+                       Scenario, Transcript)
+from compc.poly import MatPoly
 from compc.sharing import ShareLabel, make_share_poly
+from compc.subroutines import ActiveSet, SubshareBundle, verify_gap_form
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -174,6 +178,8 @@ class TestSharingEnumeration:
             AuditTemplate("product-round", 3, 2, 1, 7).validate()
         with pytest.raises(ParameterViolation):
             AuditTemplate("sharing", 5, 1, 1, 5).validate()
+        with pytest.raises(ParameterViolation):
+            AuditTemplate("sharing", 4, 1, 1, 4294967311).validate()
 
 
 class TestProductRoundEnumeration:
@@ -335,46 +341,135 @@ class TestMonteCarlo:
         assert rep.flags == ()
 
 
-class TestGapBroadcastRedundancy:
-    """The parity broadcast is derivable from an observer's own inputs.
+def gap_view(n, t, m, p, secret, draws, leak):
+    """Everything the gap check shows, for one honest origin (party 1).
 
-    Honest parity rows lie on a degree-t polynomial over the party
-    points whose constant term is publicly zero, so t observers plus
-    that constant determine every other row before it is sent.
+    The origin deals Q(y) = F + R_1 y^m + ... + R_t y^(m+t-1) through
+    the real dealing code on scripted draws (the t masks, then rows
+    1..d of the bivariate; row 0 is Q), and a real verify_gap_form
+    broadcasts the parity rows. Returns every worker's f and g
+    coefficients, then every worker's broadcast rows, flattened. leak
+    adds F to the first gap coefficient.
+    """
+    lab = ShareLabel(1, t, m - 1)
+    d1 = lab.degree + 1
+    q = make_share_poly(FMatrix([[secret]], p), lab, ScriptedRng(draws[:t]))
+    coeffs = np.zeros((d1, 1, 1), dtype=np.int64)
+    coeffs[:q.c.shape[0]] = q.c
+    if leak:
+        coeffs[1] = (coeffs[1] + secret) % p
+    grid = np.concatenate([np.zeros(d1, dtype=np.int64), draws[t:]])
+    deal = evss_deal_poly(MatPoly(coeffs, p), lab, ScriptedRng(grid))
+    s = Scenario(n=n, t=t, m=m, p=p, seed=0, z=m, program=()).validate()
+    pairs = [deal.polys_for(j) for j in s.workers]
+    bundle = SubshareBundle(1, {j: f[0] for j, (f, _) in zip(s.workers, pairs)},
+                            m, d1 - 1, {j: g for j, (_, g) in zip(s.workers, pairs)})
+    net = Network(s, Transcript())
+    verify_gap_form(net, AdversaryController(s), s, "gap",
+                    ActiveSet(s.workers), {1: bundle})
+    rows = [e.payload[1].ravel() for e in net.transcript.envelopes]
+    assert len(rows) == n
+    return np.concatenate([c.ravel() for pair in pairs for c in pair] + rows)
+
+
+@lru_cache(maxsize=None)
+def gap_map(n, t, m, p, leak):
+    """(a, B) with gap_view(F, draws) = F a + B draws (mod p)."""
+    d = m + t - 1
+    k = t + d * (d + 1)
+    a = gap_view(n, t, m, p, 1, np.zeros(k, dtype=np.int64), leak)
+    b = np.stack([gap_view(n, t, m, p, 0, e, leak)
+                  for e in np.eye(k, dtype=np.int64)], axis=1)
+    return a, b
+
+
+def observed(n, t, m, observers, vec):
+    """The observers' own f and g, and every broadcast row."""
+    width = 2 * (m + t)
+    own = [vec[(i - 1) * width:i * width] for i in observers]
+    return np.concatenate(own + [vec[n * width:]])
+
+
+def gap_tv(n, t, m, p, observers, leak=False):
+    """Exact TV distance between the views of two distinct secrets.
+
+    The view is uniform on the coset F a + span(B), so the distance is
+    0 when a lies in span(B) and 1 otherwise.
+    """
+    a, b = gap_map(n, t, m, p, leak)
+    a, b = observed(n, t, m, observers, a), observed(n, t, m, observers, b)
+    rank_b = len(rref(b, p)[1])
+    return Fraction(int(len(rref(np.column_stack([b, a]), p)[1]) > rank_b))
+
+
+GAP_SHAPES = [(7, 6, 1, 2), (DEFAULT_PRIME, 21, 2, 8),
+              (DEFAULT_PRIME, 11, 2, 3)]
+
+
+def gap_observer_sets(n, t):
+    """Sets of t observers, never the origin (party 1)."""
+    if t == 1:
+        return [(i,) for i in range(2, n + 1)]
+    return [(2, 3), (2, n), (n // 2, n // 2 + 1), (n - 1, n)]
+
+
+class TestGapParityAudit:
+    """The gap check's parity broadcast (`…:par`) hides the secret.
+
+    Honest rows lie on a degree-d polynomial with a public zero
+    constant, so they are not derivable from t observers' own inputs;
+    what t observers see is still independent of the secret. The view
+    is linear in the secret and the origin's draws, which makes a rank
+    test exact at any prime; at p = 7 it is checked against a full
+    enumeration of the 7^7 draw vectors.
     """
 
-    @staticmethod
-    def parity_rows(transcript):
-        rows = {}
-        for e in transcript.envelopes:
-            if e.channel == BCAST and e.phase.endswith(":par"):
-                rows.setdefault(e.phase, {})[e.sender] = e.payload[1]
-        return rows
+    @pytest.mark.parametrize("p,n,t,m", GAP_SHAPES)
+    def test_view_is_linear_in_secret_and_draws(self, p, n, t, m):
+        a, b = gap_map(n, t, m, p, False)
+        rng = np.random.default_rng(n)
+        for _ in range(2):
+            secret = int(rng.integers(0, p))
+            draws = rng.integers(0, p, size=b.shape[1])
+            want = (mat_mul(b, draws[:, None], p)[:, 0] + secret * a) % p
+            assert np.array_equal(gap_view(n, t, m, p, secret, draws, False),
+                                  want)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_single_observer_derives_all_rows(self, seed):
-        p = 97
-        s = Scenario(n=6, t=1, m=2, p=p, seed=seed, z=2, program=MUL_PROGRAM,
-                     inputs=(FMatrix([[1, 2], [3, 4]], p),
-                             FMatrix([[5, 6], [7, 8]], p)))
-        phases = self.parity_rows(run_scenario(s))
-        assert phases
-        for rows in phases.values():
-            own = rows[1]
-            for j, row in rows.items():
-                assert np.array_equal(row, (own * j) % p)
+    @pytest.mark.parametrize("p,n,t,m", GAP_SHAPES)
+    def test_t_observers_learn_nothing(self, p, n, t, m):
+        for observers in gap_observer_sets(n, t):
+            assert gap_tv(n, t, m, p, observers) == F0, observers
 
-    def test_two_observers_derive_all_rows_at_t2(self):
-        p = 97
-        s = Scenario(n=9, t=2, m=2, p=p, seed=4, z=2, program=MUL_PROGRAM,
-                     inputs=(FMatrix([[1, 2], [3, 4]], p),
-                             FMatrix([[5, 6], [7, 8]], p)))
-        phases = self.parity_rows(run_scenario(s))
-        assert phases
-        for rows in phases.values():
-            flat = {j: r.reshape(r.shape[0], -1) for j, r in rows.items()}
-            zero = np.zeros_like(flat[1])
-            poly = interpolate([0, 1, 2], [zero, flat[1], flat[2]], p)
-            predicted = poly.eval_many(sorted(flat))
-            for i, j in enumerate(sorted(flat)):
-                assert np.array_equal(flat[j], predicted[i])
+    @pytest.mark.parametrize("p,n,t,m", GAP_SHAPES)
+    def test_planted_gap_secret_leaks(self, p, n, t, m):
+        for observers in gap_observer_sets(n, t):
+            assert gap_tv(n, t, m, p, observers, leak=True) == F1, observers
+
+    @pytest.mark.parametrize("p,n,t,m", GAP_SHAPES)
+    def test_t_plus_one_observers_leak(self, p, n, t, m):
+        assert gap_tv(n, t, m, p, tuple(range(2, t + 3))) == F1
+
+    def test_enumeration_agrees_with_rank_test(self):
+        p, n, t, m = GAP_SHAPES[0]
+        k = t + (m + t - 1) * (m + t)
+        draws = (np.arange(p ** k)[:, None] // p ** np.arange(k)) % p
+        for leak in (False, True):
+            a, b = gap_map(n, t, m, p, leak)
+            a, b = observed(n, t, m, (4,), a), observed(n, t, m, (4,), b)
+            base = draws @ b.T
+            # each view row as two base-p integers, so rows sort fast
+            digits = p ** np.arange(-(-len(a) // 2))
+            half = len(digits)
+            tables = []
+            for f in (0, 3):
+                rows = (base + f * a) % p
+                keys = np.stack([rows[:, :half] @ digits,
+                                 rows[:, half:] @ digits[:len(a) - half]], 1)
+                tables.append(np.unique(keys, axis=0, return_counts=True))
+            (va, ca), (vb, cb) = tables
+            if leak:
+                # disjoint supports: total variation distance 1
+                both = np.concatenate([va, vb])
+                assert len(np.unique(both, axis=0)) == len(va) + len(vb)
+            else:
+                assert np.array_equal(va, vb) and np.array_equal(ca, cb)

@@ -149,6 +149,17 @@ class TestRunCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prime", ["4294967311", "2305843009213693951",
+                                       "12"])
+    def test_unsupported_primes_are_refused(self, prime, capsys):
+        # int64 kernels are exact only below 2**31; refuse at validation
+        code = run_cli("run", "--scenario", fixture("threshold.scn"),
+                       "--prime", prime)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert ("not below 2**31" in err) == (prime != "12")
+
     def test_missing_scenario_file(self):
         assert run_cli("run", "--scenario", "/no/such/file.scn") == 2
 

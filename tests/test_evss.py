@@ -42,6 +42,17 @@ def rand_matrix(rng, rows, cols, p=P):
     return FMatrix(rng.integers(0, p, size=(rows, cols)), p)
 
 
+def grid_value(deal, x, y):
+    """S(x, y) summed term by term from the coefficient grid."""
+    p = deal.p
+    acc = np.zeros(deal.shape, dtype=np.int64)
+    for a in range(deal.d1):
+        for b in range(deal.d1):
+            w = pow(x, a, p) * pow(y, b, p) % p
+            acc = (acc + deal.grid[a, b] * w) % p
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # dealing
 
@@ -61,9 +72,9 @@ def test_deal_structure_and_crosspoints():
         assert np.array_equal(fc[0], evss._poly_at(q, i, P))
         for j in range(1, 8):
             assert np.array_equal(evss._poly_at(fc, j, P),
-                                  deal.value_at(j, i))
+                                  grid_value(deal, j, i))
             assert np.array_equal(evss._poly_at(gc, j, P),
-                                  deal.value_at(i, j))
+                                  grid_value(deal, i, j))
 
 
 def test_deal_poly_degree_bound():
@@ -104,7 +115,7 @@ def test_complaints_missing_and_mismatched_senders():
     deal = evss_deal(FMatrix(np.array([[5]]), P), ShareLabel(1, 1, 0),
                      np.random.default_rng(1))
     polys = _pair_for(deal, 2)
-    good = {j: (deal.value_at(2, j), deal.value_at(j, 2)) for j in (1, 3, 4)}
+    good = {j: (grid_value(deal, 2, j), grid_value(deal, j, 2)) for j in (1, 3, 4)}
     assert complaints_for(2, polys, good, (1, 3, 4), P) == []
     assert complaints_for(2, None, good, (1, 3, 4), P) == [("self",)]
     bad = dict(good)
@@ -120,8 +131,8 @@ def test_complaints_missing_and_mismatched_senders():
 def test_reveals_only_for_wrong_claims_and_self():
     deal = evss_deal(FMatrix(np.array([[5]]), P), ShareLabel(1, 1, 0),
                      np.random.default_rng(2))
-    right = ("pair", 3, deal.value_at(3, 2), deal.value_at(2, 3))
-    wrong = ("pair", 3, (deal.value_at(3, 4) + 1) % P, deal.value_at(4, 3))
+    right = ("pair", 3, grid_value(deal, 3, 2), grid_value(deal, 2, 3))
+    wrong = ("pair", 3, (grid_value(deal, 3, 4) + 1) % P, grid_value(deal, 4, 3))
     ans = reveals_for(deal, {2: [right], 4: [wrong], 1: [("self",)]},
                       {1, 2, 3, 4})
     assert sorted(ans) == [1, 4]
@@ -133,7 +144,7 @@ def test_vote_rules():
                      np.random.default_rng(3))
     d1, shape = deal.d1, deal.shape
     polys = _pair_for(deal, 1)
-    cross = {j: (deal.value_at(1, j), deal.value_at(j, 1)) for j in (2, 3, 4)}
+    cross = {j: (grid_value(deal, 1, j), grid_value(deal, j, 1)) for j in (2, 3, 4)}
 
     # no complaints that matter, everything consistent
     ok, _ = vote_for(1, polys, cross, {}, {}, d1, shape, P)
@@ -148,12 +159,12 @@ def test_vote_rules():
     assert ok
 
     # bidirectional pair, mutually consistent claims: false accusation
-    c23 = ("pair", 3, deal.value_at(3, 2), deal.value_at(2, 3))
-    c32 = ("pair", 2, deal.value_at(2, 3), deal.value_at(3, 2))
+    c23 = ("pair", 3, grid_value(deal, 3, 2), grid_value(deal, 2, 3))
+    c32 = ("pair", 2, grid_value(deal, 2, 3), grid_value(deal, 3, 2))
     ok, _ = vote_for(1, polys, cross, {2: [c23], 3: [c32]}, {}, d1, shape, P)
     assert ok
     # mutually inconsistent claims, nothing revealed: withhold
-    c32_bad = ("pair", 2, (deal.value_at(2, 3) + 1) % P, deal.value_at(3, 2))
+    c32_bad = ("pair", 2, (grid_value(deal, 2, 3) + 1) % P, grid_value(deal, 3, 2))
     ok, _ = vote_for(1, polys, cross, {2: [c23], 3: [c32_bad]}, {},
                      d1, shape, P)
     assert not ok

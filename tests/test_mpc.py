@@ -406,6 +406,26 @@ def test_share_then_reveal_returns_input():
     assert np.array_equal(tr.master_output.a, x)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_honest_multiply_round_count(m):
+    # SHARE/SHARE/MUL/REVEAL: 18 + 5m rounds, of which each of the m gap
+    # checks (the a family and the b families with gap >= 2) is one
+    t, p = 1, 97
+    n, z = 3 * t + 2 * m - 1, 2 * m
+    rng = np.random.default_rng(40 + m)
+    xs = [rng.integers(0, p, size=(z, z)) for _ in range(2)]
+    program = [ProgramOp("share", (0, DIRECT), "a"),
+               ProgramOp("share", (1, REVERSE), "b"),
+               ProgramOp("mul", ("a", "b"), "c"),
+               ProgramOp("reveal", ("c",))]
+    tr = execute(program_scenario(n, t, m, z, p, 3, xs, program))
+    assert tr.envelopes[-1].round + 1 == 18 + 5 * m
+    gap = {e.round for e in tr.envelopes if "v:" in e.phase}
+    assert len(gap) == m
+    assert all(e.phase.endswith(":par") for e in tr.envelopes
+               if e.round in gap)
+
+
 def test_program_product_plus_addend_gf11():
     p, m, t, n, z = 11, 2, 1, 8, 4
     rng = np.random.default_rng(31)

@@ -199,50 +199,7 @@ def test_syndrome_decode_contiguous():
         rng.integers(0, p, size=(4, 2, 2)))), 2) == {}
 
 
-def test_syndrome_decode_gapped():
-    # data coefficient 0, zero gap at 1..2, masks at 3..4
-    p = 101
-    code = build_code(range(1, 10), {0, 3, 4}, p)
-    rng = np.random.default_rng(8)
-    word = code.encode(rng.integers(0, p, size=3))
-    word[2] = (word[2] + 55) % p
-    word[6] = (word[6] + 4) % p
-    got = syndrome_decode(code, code.syndrome(word), 2)
-    assert got == {3: 55, 7: 4}
-
-
-def test_syndrome_decode_gapped_with_forced():
-    p = 101
-    code = build_code(range(1, 10), {0, 3, 4}, p)
-    rng = np.random.default_rng(13)
-    word = code.encode(rng.integers(0, p, size=3))
-    word[0] = 0                      # substituted contribution
-    word[5] = (word[5] + 31) % p
-    got = syndrome_decode(code, code.syndrome(word), 2, forced=(1,))
-    extra = {a: v for a, v in got.items() if a != 1}
-    assert extra == {6: 31}
-
-    # budget exhausted by the forced point alone
-    assert syndrome_decode(code, code.syndrome(word), 1, forced=(1, 2)) is None
-
-
-def test_syndrome_decode_matches_brute_minimum():
-    # oracle: enumerate every codeword of a small gapped code and find
-    # the true minimal-weight explanation of each syndrome
-    p = 11
-    code = build_code(range(1, 8), {0, 3, 4}, p)
-    codewords = [code.encode(np.array(c, dtype=np.int64))
-                 for c in product(range(p), repeat=3)]
-    rng = np.random.default_rng(4)
-    for _ in range(12):
-        word = rng.integers(0, p, size=7)
-        dist_min = min(int((word % p != cw).sum()) for cw in codewords)
-        got = syndrome_decode(code, code.syndrome(word), 2)
-        if dist_min > 2:
-            assert got is None
-        else:
-            assert got is not None and len(got) == dist_min
-            fixed = word.copy()
-            for a, v in got.items():
-                fixed[a - 1] = (fixed[a - 1] - v) % p
-            assert code.is_codeword(fixed)
+def test_syndrome_decode_refuses_gapped_codes():
+    code = build_code(range(1, 10), {0, 3, 4}, 101)
+    with pytest.raises(ParameterViolation):
+        syndrome_decode(code, np.zeros(6, dtype=np.int64), 2)

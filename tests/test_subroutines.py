@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from compc.errors import (DecodingFailure, ParameterViolation,
                           TooFewSurvivors)
-from compc.evss import _poly_at
+from compc.evss import _poly_at, evss_deal
+from compc.gf import FMatrix
 from compc.net import AdversaryController, Network, Scenario, Transcript
+from compc.sharing import ShareLabel
 from compc.subroutines import (ActiveSet, BAD_GAP, BAD_SUBSHARE,
                                EVSS_REJECTED, SubshareBundle,
                                eval_shared_poly, shares_times_matrix,
@@ -33,18 +35,23 @@ def shares_of(coeffs, live, p):
 
 
 def honest_bundles(live, f_vals, zeta, t, p, seed=11):
-    """Subshare polynomials built directly, bypassing the network."""
+    """Subshare bundles dealt through real bivariates, bypassing the
+    network: recipient j holds f_j(0) and the coefficients of g_j."""
+    lab = ShareLabel(1, t, zeta - 1)
     out = {}
     for n in live:
-        rng = np.random.default_rng(seed + n)
-        shape = f_vals[n].shape
-        qc = np.zeros((zeta + t,) + shape, dtype=np.int64)
-        qc[0] = f_vals[n]
-        for q in range(t):
-            qc[zeta + q] = rng.integers(0, p, size=shape)
-        out[n] = SubshareBundle(n, {j: _poly_at(qc, j, p) for j in live},
-                                zeta, zeta + t - 1)
+        deal = evss_deal(FMatrix(f_vals[n], p), lab,
+                         np.random.default_rng(seed + n))
+        pairs = {j: deal.polys_for(j) for j in live}
+        out[n] = SubshareBundle(n, {j: f[0] for j, (f, _) in pairs.items()},
+                                zeta, zeta + t - 1,
+                                {j: g for j, (_, g) in pairs.items()})
     return out
+
+
+def parity_rows(transcript):
+    return {e.sender: e.payload[1] for e in transcript.envelopes
+            if e.phase.endswith(":par")}
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +227,11 @@ def test_gap_form_honest_retains_everyone():
     bundles = honest_bundles(s.workers, f_vals, 2, s.t, s.p)
     active = verify_gap_form(net, adv, s, "gap", active, bundles)
     assert active.eliminated == {}
+    # one broadcast: every party sends 3 parity rows per origin, nonzero
+    assert net.round == 1
+    rows = parity_rows(net.transcript)
+    assert sorted(rows) == list(s.workers)
+    assert all(r.shape == (5 * 3, 2, 2) and r.any() for r in rows.values())
 
 
 def test_gap_form_no_gap_is_a_noop():
@@ -247,27 +259,59 @@ def test_gap_form_bad_origin_eliminated():
     assert active.eliminated == {2: BAD_GAP}
 
 
-def test_gap_form_lying_resharer_blamed_not_origin():
-    # honest bundles, adversary shifts only its re-sharing constants
-    s = scen(5, 1, p=97, adversaries=((4, "WrongSubshareConstant"),))
-    net, adv = net_for(s)
-    active = ActiveSet(s.workers)
+@pytest.mark.parametrize("strategy", ["Silent", "RandomByzantine"])
+def test_gap_form_lying_parity_sender_blamed_not_origin(strategy):
+    # honest bundles; party 4 withholds or perturbs its parity rows
+    clean = scen(5, 1, p=97)
     rng = np.random.default_rng(6)
-    f_vals = shares_of(rand_poly(rng, 2, (2, 2), s.p), s.workers, s.p)
-    bundles = honest_bundles(s.workers, f_vals, 2, s.t, s.p)
-    active = verify_gap_form(net, adv, s, "gap", active, bundles)
-    assert active.eliminated == {4: BAD_SUBSHARE}
+    f_vals = shares_of(rand_poly(rng, 2, (2, 2), 97), clean.workers, 97)
+    bundles = honest_bundles(clean.workers, f_vals, 2, 1, 97)
+    net, adv = net_for(clean)
+    verify_gap_form(net, adv, clean, "gap", ActiveSet(clean.workers), bundles)
+    truth = parity_rows(net.transcript)[4]
+    blamed = 0
+    for seed in range(6):
+        s = scen(5, 1, p=97, seed=seed, adversaries=((4, strategy),))
+        net, adv = net_for(s)
+        active = verify_gap_form(net, adv, s, "gap", ActiveSet(s.workers),
+                                 bundles)
+        sent = parity_rows(net.transcript).get(4)
+        lied = sent is None or not np.array_equal(sent, truth)
+        assert active.eliminated == ({4: BAD_SUBSHARE} if lied else {})
+        blamed += lied
+    assert blamed
 
 
-def test_gap_form_rejected_resharer_forced_position():
-    s = scen(5, 1, p=97, seed=2, adversaries=((3, "Silent"),))
+def test_gap_form_bad_origin_blamed_next_to_lying_row():
+    # t=2: origin 2 deals a gap violation through EVSS, then party 5
+    # withholds its parity rows; each is blamed for its own fault
+    s = scen(8, 2, p=97, seed=3, adversaries=((2, "BadGapCoefficient"),))
     net, adv = net_for(s)
-    active = ActiveSet(s.workers)
-    rng = np.random.default_rng(7)
+    rng = np.random.default_rng(13)
+    f_vals = shares_of(rand_poly(rng, 2, (2, 2), s.p), s.workers, s.p)
+    bundles, active = subshare_of_shares(net, adv, s, "sub",
+                                         ActiveSet(s.workers), f_vals, 2, 2)
+    assert active.eliminated == {}
+    s2 = scen(8, 2, p=97, seed=3, adversaries=((2, "BadGapCoefficient"),
+                                               (5, "Silent")))
+    active = verify_gap_form(net, AdversaryController(s2), s2, "gap",
+                             active, bundles)
+    assert active.eliminated == {2: BAD_GAP, 5: BAD_SUBSHARE}
+
+
+def test_gap_form_beyond_budget_aborts_without_blame():
+    # two parties lost their g polynomials at budget 1: nothing decodes
+    s = scen(5, 1, p=97)
+    net, adv = net_for(s)
+    rng = np.random.default_rng(14)
     f_vals = shares_of(rand_poly(rng, 2, (2, 2), s.p), s.workers, s.p)
     bundles = honest_bundles(s.workers, f_vals, 2, s.t, s.p)
-    active = verify_gap_form(net, adv, s, "gap", active, bundles)
-    assert active.eliminated == {3: EVSS_REJECTED}
+    for b in bundles.values():
+        del b.g[3], b.g[4]
+    active = ActiveSet(s.workers)
+    with pytest.raises(DecodingFailure):
+        verify_gap_form(net, adv, s, "gap", active, bundles)
+    assert active.eliminated == {}
 
 
 def test_gap_coefficient_strategy_honest_without_gap():
