@@ -41,6 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterViolation
+from .gf import is_field_array
 from .net import BCAST, PRIV
 from .poly import powers
 from .sharing import make_share_poly
@@ -118,14 +119,8 @@ class EvssVerdict(NamedTuple):
 def _well_formed(pair, d1, shape, p):
     if not isinstance(pair, tuple) or len(pair) != 2:
         return False
-    for c in pair:
-        if not isinstance(c, np.ndarray) or c.shape != (d1,) + tuple(shape):
-            return False
-        if not np.issubdtype(c.dtype, np.integer):
-            return False
-        if c.size and (c.min() < 0 or c.max() >= p):
-            return False
-    return True
+    want = (d1,) + tuple(shape)
+    return all(is_field_array(c, want, p) for c in pair)
 
 
 def _values_eq(a, b):
@@ -421,12 +416,6 @@ def _eval_stack(coeffs, alphas, p):
     return acc
 
 
-def _valid_stack(a, count, shape, p):
-    return (isinstance(a, np.ndarray) and a.shape == (count,) + tuple(shape)
-            and np.issubdtype(a.dtype, np.integer)
-            and (a.size == 0 or (a.min() >= 0 and a.max() < p)))
-
-
 def _parse_complaint(item, workers, shape):
     """Validate a broadcast complaint item; None when malformed."""
     if item[0] == "self" and len(item) == 1:
@@ -498,8 +487,8 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kinds=None):
             _, iids, fs, gs = payload
             if not isinstance(iids, tuple):
                 continue
-            whole = _valid_stack(fs, len(iids), pair_shape, p) \
-                and _valid_stack(gs, len(iids), pair_shape, p)
+            whole = is_field_array(fs, (len(iids),) + pair_shape, p) \
+                and is_field_array(gs, (len(iids),) + pair_shape, p)
             for k, iid in enumerate(iids):
                 if iid not in registry or registry[iid]["dealer"] != sender:
                     continue
@@ -546,8 +535,8 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kinds=None):
                 continue
             if not isinstance(iids, tuple) or len(set(iids)) != len(iids):
                 continue
-            if _valid_stack(us, len(iids), shape, p) \
-                    and _valid_stack(vs, len(iids), shape, p):
+            if is_field_array(us, (len(iids),) + shape, p) \
+                    and is_field_array(vs, (len(iids),) + shape, p):
                 recv[i][sender] = ({iid: k for k, iid in enumerate(iids)},
                                    us, vs)
 

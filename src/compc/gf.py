@@ -91,6 +91,18 @@ def arr(values, p):
     return np.asarray(values, dtype=np.int64) % p
 
 
+_INT64 = np.dtype(np.int64)
+
+
+def is_field_array(a, shape, p):
+    """Whether a received payload entry is an int64 ndarray of exactly
+    `shape` (a tuple) with every entry in [0, p). Every protocol step
+    checks inbox arrays with this one rule before using them."""
+    return (isinstance(a, np.ndarray) and a.dtype == _INT64
+            and a.shape == shape
+            and (a.size == 0 or (a.min() >= 0 and a.max() < p)))
+
+
 def mat_mul(a, b, p):
     """Exact modular matmul via a 16-bit split of the left operand.
 

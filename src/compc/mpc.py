@@ -13,19 +13,28 @@ blocks of the local product. One public coefficient-extraction
 combination then turns the workers' product polynomials into a fresh
 direct sharing of the product.
 
-Under active corruption every re-sharing runs through the verified
-subshare phases (constant syndrome plus gap parity), the mask and
-product polynomials are dealt through the consistency layer, and each
-worker checks the product relation at its own point. Complaints are
-resolved by publicly evaluating everything the accused dealt at the
-complainer's point: a relation that fails publicly eliminates the
-dealer, a false accusation costs the accused nothing. Extraction
-weights are recomputed over the survivors, so at least 2m+2t-1 of the
-product polynomials must remain usable.
+Under active corruption each worker re-shares its left value (gap
+m-1) and its right row pieces (piece j with gap m-1-j) as m+1 verified
+families. Each family deals through its own EVSS batch (at m = 1 the
+two families have the same gap and shape and share one), and a dealer
+a batch rejects deals in no later one; all families then share one
+syndrome broadcast and one gap-parity broadcast, so an honest multiply
+takes 3m + 12 rounds for m >= 2 and t >= 1. The mask and product
+polynomials are dealt through the consistency layer, and each worker
+checks the product relation at its own point. A complaint is settled
+by publicly evaluating everything the accused dealt at the
+complainer's point, in one call: same-shaped re-sharings share an EVSS
+batch and every value is recombined in one broadcast, 3g + 2 rounds
+for g distinct value shapes (1 at m = 1, 2 otherwise). A relation
+that fails publicly eliminates the dealer, a false accusation costs
+the accused nothing. Extraction weights are recomputed over the
+survivors, so at least 2m+2t-1 of the product polynomials must remain
+usable.
 
 Direction swaps and transposition re-share each point under one leg
-per output position (gap m-1-j for position j) and recombine the legs
-with extraction weights; with m = 1 both are local share rewrites.
+per output position (gap m-1-j for position j), with the legs sharing
+their verification rounds as above, and recombine the legs with
+extraction weights; with m = 1 both are local share rewrites.
 """
 
 from dataclasses import replace
@@ -36,7 +45,7 @@ import numpy as np
 from .errors import (DegreeMismatch, ParameterViolation, ProtocolAbort,
                      TooFewSurvivors)
 from .evss import BatchInstance, evss_deal, evss_deal_poly, run_evss_batch
-from .gf import FMatrix, mat_mul
+from .gf import FMatrix, is_field_array, mat_mul
 from .net import (BCAST, PRIV, AdversaryController, Network, Transcript,
                   rng_for)
 from .poly import MatPoly, coeff_extraction_combo, interpolate
@@ -176,20 +185,22 @@ def _points_poly(bundle, honest, p):
     return interpolate(pts, [bundle.values[i] for i in pts], p)
 
 
-def _leg_families(network, adv, scenario, prefix, active, m, value_at):
-    """m verified re-sharing families; family j re-shares
-    value_at(j, party) with interior gap m-1-j."""
+def _leg_families(network, adv, scenario, prefix, active, m, value_at,
+                  leg="l", lead=()):
+    """Verified re-sharing of the lead families and m leg families in
+    shared rounds; leg j (tag <prefix>:<leg><j>) re-shares
+    value_at(j, party) with interior gap m-1-j. Returns
+    ([{origin: SubshareBundle}] for the lead families, then the legs,
+    active)."""
     dmax = m + scenario.t - 1
-    out = []
-    for j in range(m):
-        vals = {i: value_at(j, i) for i in active.active}
-        bnd, active = subshare_of_shares(
-            network, adv, scenario, f"{prefix}{j}", active, vals, dmax, m - j)
-        if m - j >= 2:
-            active = verify_gap_form(
-                network, adv, scenario, f"{prefix}{j}v", active, bnd)
-        out.append(bnd)
-    return out, active
+    families = list(lead) + [
+        (f"{prefix}:{leg}{j}", {i: value_at(j, i) for i in active.active},
+         dmax, m - j)
+        for j in range(m)]
+    bundles, active = subshare_of_shares(
+        network, adv, scenario, prefix, active, families)
+    active = verify_gap_form(network, adv, scenario, prefix, active, bundles)
+    return bundles, active
 
 
 def multiply_malicious(network, adv, scenario, prefix, active, sa, sb):
@@ -224,13 +235,11 @@ def multiply_malicious(network, adv, scenario, prefix, active, sa, sb):
     zero_ww = np.zeros((w, w), dtype=np.int64)
 
     a_vals = {i: _held(sa, i) for i in active.active}
-    a_bundles, active = subshare_of_shares(
-        network, adv, s, f"{prefix}:a", active, a_vals, dmax, m)
-    active = verify_gap_form(network, adv, s, f"{prefix}:av", active, a_bundles)
-
-    b_bundles, active = _leg_families(
-        network, adv, s, f"{prefix}:b", active, m,
-        lambda j, i: _held(sb, i)[j * w:(j + 1) * w])
+    bundles, active = _leg_families(
+        network, adv, s, prefix, active, m,
+        lambda j, i: _held(sb, i)[j * w:(j + 1) * w], leg="b",
+        lead=[(f"{prefix}:a", a_vals, dmax, m)])
+    a_bundles, b_bundles = bundles[0], bundles[1:]
 
     # what each surviving dealer actually re-shared, and the masks and
     # product polynomial it derives from that locally
@@ -316,9 +325,8 @@ def multiply_malicious(network, adv, scenario, prefix, active, sa, sb):
             if not relation_at(j, held_values(j, n)):
                 items.append((BCAST, -1, ("mulcomplaint", n)))
         outboxes[j] = items
-    victims = tuple(i for i in active.active if i not in adv.strategies)[:1]
     check_phase = f"{prefix}:check"
-    outboxes = adv.filter({"phase": check_phase, "check_victims": victims},
+    outboxes = adv.filter({"phase": check_phase, "active": active.active},
                           outboxes)
     inboxes = network.exchange(check_phase, outboxes)
     complaints = set()
@@ -346,23 +354,16 @@ def multiply_malicious(network, adv, scenario, prefix, active, sa, sb):
             tag = f"{prefix}:res{rx:02d}"
             rx += 1
             live = active.active
-            av = eval_shared_poly(
-                network, adv, s, f"{tag}a", active,
-                _padded(a_bundles[accused].values, live, zero_zw), dmax, j)
-            pieces = [
-                eval_shared_poly(
-                    network, adv, s, f"{tag}b{k}", active,
-                    _padded(b_bundles[k][accused].values, live, zero_ww),
-                    dmax - k, j)
-                for k in range(m)]
-            ovals = [
-                eval_shared_poly(
-                    network, adv, s, f"{tag}o{l:02d}", active,
-                    _padded(o_shares[(accused, l)], live, zero_zw), t, j)
-                for l in range(o_count)]
-            cv = eval_shared_poly(
-                network, adv, s, f"{tag}c", active,
-                _padded(c_shares[accused], live, zero_zw), dmax, j)
+            polys = (
+                [(_padded(a_bundles[accused].values, live, zero_zw), dmax)]
+                + [(_padded(b_bundles[k][accused].values, live, zero_ww),
+                    dmax - k) for k in range(m)]
+                + [(_padded(o_shares[(accused, l)], live, zero_zw), t)
+                   for l in range(o_count)]
+                + [(_padded(c_shares[accused], live, zero_zw), dmax)])
+            vals = eval_shared_poly(network, adv, s, tag, active, polys, j)
+            av, pieces = vals[0], vals[1:m + 1]
+            ovals, cv = vals[m + 1:-1], vals[-1]
             if not relation_at(j, (av, pieces, ovals, cv)):
                 before = set(active.eliminated)
                 active.eliminate(accused, BAD_PRODUCT)
@@ -403,7 +404,7 @@ def _swap_direction(network, adv, scenario, prefix, active, sv, dfrom, dto):
         return SharedMatrix(out_label, dict(sv.shares), sv.z), active
     z, w = sv.z, sv.z // m
     bundles, active = _leg_families(
-        network, adv, s, f"{prefix}:l", active, m, lambda j, i: _held(sv, i))
+        network, adv, s, prefix, active, m, lambda j, i: _held(sv, i))
     live = active.active
     if len(live) < m + t:
         raise TooFewSurvivors(
@@ -451,7 +452,7 @@ def transpose_shares(network, adv, scenario, prefix, active, sv):
         return SharedMatrix(lab, out, sv.z), active
     z, w = sv.z, sv.z // m
     bundles, active = _leg_families(
-        network, adv, s, f"{prefix}:l", active, m,
+        network, adv, s, prefix, active, m,
         lambda j, i: _held(sv, i)[j * w:(j + 1) * w].T.copy())
     live = active.active
     if len(live) < m + t:
@@ -514,15 +515,16 @@ def _reveal(network, adv, scenario, prefix, active, sv, transcript):
             continue
         v = payload[1]
         if (sender in seen or sender not in active.active
-                or not isinstance(v, np.ndarray) or v.shape != (z, w)
-                or v.dtype != np.int64 or (v < 0).any() or (v >= p).any()):
+                or not is_field_array(v, (z, w), p)):
             continue
         seen.add(sender)
         recs.append(Share(lab, sender, sender, FMatrix(v, p)))
     # withholding removes an error along with its point, so shrink the
     # budget to what the received count can actually correct
     t_eff = min(active.budget(s.t), max(0, (len(recs) - lab.threshold) // 2))
-    secret, _ = robust_reconstruct(recs, lab, t_eff)
+    secret, corrected = robust_reconstruct(recs, lab, t_eff)
+    for party in sorted(corrected):
+        transcript.add_event("correct", phase, party)
     transcript.master_output = secret
     return secret
 

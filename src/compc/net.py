@@ -417,11 +417,13 @@ class CorruptProductPoly(_DealOffsetStrategy):
 
 class FalseComplainer(Strategy):
     """Honest everywhere except the product point checks, where it
-    accuses an honest origin."""
+    accuses the first active party outside the coalition."""
 
     def act(self, ctx, outbox):
         if ctx["phase"].endswith("mul:check"):
-            victims = ctx.get("check_victims", ())
+            coalition = self.shared["coalition"]
+            victims = [i for i in ctx.get("active", ())
+                       if i not in coalition][:1]
             extra = [(BCAST, -1, ("mulcomplaint", v)) for v in victims]
             kept = [s for s in outbox if s[2][0] != "mulcomplaint"]
             return kept + extra
@@ -444,7 +446,8 @@ class AdversaryController:
     """Owns strategy instances and their shared (colluding) state."""
 
     def __init__(self, scenario):
-        self.shared = {"p": scenario.p, "views": {}}
+        self.shared = {"p": scenario.p, "views": {},
+                       "coalition": scenario.adversary_ids}
         self.strategies = {}
         for party, name in scenario.adversaries:
             rng = rng_for(scenario.seed, party, f"adversary:{name}")

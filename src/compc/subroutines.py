@@ -1,17 +1,25 @@
 """Composable verification phases between sharing and multiplication.
 
-Four subroutines run over the simulated network, each one protocol
-phase with eliminations applied at its end:
+Four subroutines run over the simulated network. Each takes every
+family, part or polynomial of one protocol step at once and handles
+them in shared rounds, so a step's round count does not grow with the
+number of values it checks:
 
-  - shares_times_matrix: every party broadcasts its row of Y = [x]·Hpub
-    evaluated at its own point, and the constant row Y(0) is decoded
-    publicly. Lying rows are corrected by the decoder, not eliminated.
-  - subshare_of_shares: every party re-shares its share of a
-    degree-bounded polynomial through EVSS, then the constant vector's
-    syndrome against the degree code is computed publicly and decoded;
-    parties whose constant is off the codeword are eliminated.
+  - shares_times_matrix: every party broadcasts, for every part, its
+    rows of Y = [x]·Hpub evaluated at its own point, all parts in one
+    message, and each part's constant row Y(0) is decoded publicly.
+    Lying rows are corrected by the decoder, not eliminated; their
+    senders are recorded as "correct" events.
+  - subshare_of_shares: for every family, every party re-shares its
+    share of a degree-bounded polynomial through EVSS. Families of one
+    (gap, value shape) share an EVSS batch; a dealer a batch rejects is
+    eliminated at once and deals in no later batch. Then one syndrome
+    broadcast carries every family's constant-vector syndrome against
+    its degree code, and each is decoded; parties whose constant is off
+    the codeword are eliminated.
   - verify_gap_form: checks that accepted subshare polynomials keep
-    their interior zero run, from the EVSS cross polynomials alone.
+    their interior zero run, from the EVSS cross polynomials alone,
+    for every gapped family in one parity broadcast.
     Origin o's subshare Q_o(y) = S_o(0, y) sits in a bivariate S_o of
     degree d = zeta+t-1 of which party i holds g_i(y) = S_o(alpha_i, y).
     With H the parity matrix of the gapped code over the live points,
@@ -23,14 +31,16 @@ phase with eliminations applied at its end:
     EVSS is accepted. For an honest origin P_o(0) = 0, and what any t
     parties see of the deal and the rows does not depend on Q_o(0)
     (the test suite checks this exactly with a rank test).
-  - eval_shared_poly: collaborative public evaluation of a shared
-    polynomial at an arbitrary point, built from a zero-gap
-    subshare_of_shares and one decoded recombination broadcast.
+  - eval_shared_poly: collaborative public evaluation of several shared
+    polynomials at one point, built from one zero-gap
+    subshare_of_shares call and one decoded recombination broadcast.
 
-Eliminated parties carry exactly one of four reason codes; the first
-reason sticks. Per-subroutine participant bounds are documentation
-only: the scenario-wide recovery threshold checked at configuration
-time covers every call site.
+Within a shared round every word is decoded against the same active
+set and budget, so a cheater caught there keeps dealing in the step's
+other families until that round. Eliminated parties carry exactly one
+of four reason codes; the first reason sticks. Per-subroutine
+participant bounds are documentation only: the scenario-wide recovery
+threshold checked at configuration time covers every call site.
 """
 
 from dataclasses import dataclass, field
@@ -40,7 +50,7 @@ import numpy as np
 
 from .errors import (DecodingFailure, ParameterViolation, TooFewSurvivors)
 from .evss import BatchInstance, evss_deal, run_evss_batch
-from .gf import FMatrix, mat_mul
+from .gf import FMatrix, is_field_array, mat_mul
 from .net import BCAST, rng_for
 from .poly import lagrange_coeffs, vandermonde
 from .rscode import build_code, decode, syndrome_decode
@@ -97,34 +107,43 @@ def _record_eliminations(network, phase, before, active):
             network.transcript.add_event("eliminate", phase, party, reason)
 
 
-def _broadcast_rows(network, adv, scenario, phase, live, rows, k, shape):
-    """One broadcast exchange of per-party (k, r, c) stacks.
+def _broadcast_rows(network, adv, scenario, phase, live, rows, shapes):
+    """One broadcast exchange of per-party stacks, one stack per part.
 
-    Returns the word (len(live), k, r, c) with malformed or missing
-    rows replaced by zeros.
+    rows: {party: [stack per part]}; shapes: each part's stack shape.
+    A party broadcasts ("stm", stack) for a single part and
+    ("stm", (stack, ...)) for several. Returns one word
+    (len(live),) + shape per part, with malformed or missing stacks
+    replaced by zeros.
     """
     p = scenario.p
-    outboxes = {j: [(BCAST, -1, ("stm", rows[j]))] for j in live}
+    single = len(shapes) == 1
+    outboxes = {j: [(BCAST, -1, ("stm", rows[j][0] if single
+                                 else tuple(rows[j])))]
+                for j in live}
     ctx = {"phase": phase, "instances": {}, "states": {},
            "scenario": scenario}
     outboxes = adv.filter(ctx, outboxes)
     inboxes = network.exchange(phase, outboxes)
     adv.observe(phase, inboxes)
 
-    got = {}
+    got = [{} for _ in shapes]
     for sender, channel, payload in inboxes[0]:
         if channel != BCAST or not isinstance(payload, tuple) \
-                or len(payload) != 2 or payload[0] != "stm":
+                or len(payload) != 2 or payload[0] != "stm" \
+                or sender not in live:
             continue
-        if sender not in live or sender in got:
+        stacks = (payload[1],) if single else payload[1]
+        if not isinstance(stacks, tuple) or len(stacks) != len(shapes):
             continue
-        y = payload[1]
-        if isinstance(y, np.ndarray) and y.shape == (k,) + tuple(shape) \
-                and np.issubdtype(y.dtype, np.integer) \
-                and (y.size == 0 or (y.min() >= 0 and y.max() < p)):
-            got[sender] = y
-    zero = np.zeros((k,) + tuple(shape), dtype=np.int64)
-    return np.stack([got.get(j, zero) for j in live])
+        for part, y, shape in zip(got, stacks, shapes):
+            if sender not in part and is_field_array(y, shape, p):
+                part[sender] = y
+    words = []
+    for part, shape in zip(got, shapes):
+        zero = np.zeros(shape, dtype=np.int64)
+        words.append(np.stack([part.get(j, zero) for j in live]))
+    return words
 
 
 def _combine(holdings, origins, hpub, shape, p):
@@ -137,175 +156,226 @@ def _combine(holdings, origins, hpub, shape, p):
     return acc
 
 
-def shares_times_matrix(network, adv, scenario, phase, active, holdings,
-                        origins, hpub, q_degree, e_max, shape):
-    """Publicly compute [x_origin1 .. x_originK] . hpub, one broadcast.
+def shares_times_matrix(network, adv, scenario, phase, active, parts,
+                        e_max):
+    """Publicly compute [x_origin1 .. x_originK] . hpub for every part,
+    all parts in one broadcast.
 
-    holdings: {party: {origin: (r, c) ndarray}} with each party's value
-    of the origin polynomial at its own point; absent entries enter the
-    sum as zero. hpub: (len(origins), k). Every honest party obtains
-    the same (k, r, c) result; rows further than e_max errors from a
-    degree-q_degree codeword abort with DecodingFailure.
+    parts: [(holdings, origins, hpub, degree, shape)]. holdings:
+    {party: {origin: shape ndarray}} with each party's value of the
+    origin polynomial at its own point; absent entries enter the sum
+    as zero. hpub: (len(origins), k). Returns one (k,) + shape result
+    per part, the same for every honest party. Each column is decoded
+    at the part's degree; rows further than e_max errors from a
+    codeword abort with DecodingFailure. A corrected row eliminates
+    nobody: its sender is recorded as a ("correct", phase, party)
+    event.
     """
     p = scenario.p
     live = active.active
-    if hpub.shape[0] != len(origins):
-        raise ParameterViolation("one hpub row per origin required")
-    k = hpub.shape[1]
-    rows = {j: _combine(holdings.get(j, {}), origins, hpub, shape, p)
+    shapes = []
+    for holdings, origins, hpub, _, shape in parts:
+        if hpub.shape[0] != len(origins):
+            raise ParameterViolation("one hpub row per origin required")
+        shapes.append((hpub.shape[1],) + tuple(shape))
+    rows = {j: [_combine(holdings.get(j, {}), origins, hpub, shape, p)
+                for holdings, origins, hpub, _, shape in parts]
             for j in live}
-    word = _broadcast_rows(network, adv, scenario, phase, live, rows,
-                           k, shape)
-    out = np.empty((k,) + tuple(shape), dtype=np.int64)
-    for col in range(k):
-        poly, _ = decode(q_degree, live, word[:, col], e_max, p)
-        out[col] = poly.coeff(0).a
+    words = _broadcast_rows(network, adv, scenario, phase, live, rows,
+                            shapes)
+    out = []
+    corrected = set()
+    for (_, _, _, degree, _), word in zip(parts, words):
+        res = np.zeros(word.shape[1:], dtype=np.int64)
+        for col in range(res.shape[0]):
+            poly, errs = decode(degree, live, word[:, col], e_max, p)
+            if poly.c.shape[0]:         # c is trimmed: zero when empty
+                res[col] = poly.c[0]
+            corrected |= errs
+        out.append(res)
+    for party in sorted(corrected):
+        network.transcript.add_event("correct", phase, int(party))
     return out
 
 
-def subshare_of_shares(network, adv, scenario, prefix, active, f_values,
-                       p_deg, zeta, kind="subshare"):
-    """Verified re-sharing of every active party's share of F.
+def subshare_of_shares(network, adv, scenario, prefix, active, families,
+                       kind="subshare"):
+    """Verified re-sharing of every active party's share of several F.
 
-    f_values: {party: (r, c) ndarray} holding F(alpha_party) for a
-    polynomial of degree p_deg. Each party deals
+    families: [(tag, f_values, p_deg, zeta)], f_values {party: (r, c)
+    ndarray} holding F(alpha_party) for a polynomial of degree p_deg.
+    For every family each live party deals
     Q_n(x) = F(alpha_n) + R_1 x^zeta + ... + R_t x^(zeta+t-1) through
-    one EVSS batch; rejected dealers are eliminated and their values
-    replaced by zeros. The constant vector (Q_1(0), ..) is then checked
-    against the degree-p_deg code: its syndrome is computed publicly
-    with shares_times_matrix and decoded, and every decoded error
-    position is eliminated with BadSubshareValue. Returns
-    ({origin: SubshareBundle}, active); each bundle keeps every
-    party's g polynomial of the origin's deal for verify_gap_form.
+    EVSS. Families of one (zeta, value shape) share a batch, and the
+    batches run in order of first appearance; a batch of one family
+    runs on <tag>:q. Dealers a batch rejects are eliminated at once
+    and deal in no later batch. Then one broadcast on <prefix>:syn
+    carries, for every family, the syndrome of the constant vector
+    (Q_1(0), ..) against the degree-p_deg code over the survivors
+    (computed with shares_times_matrix); each syndrome is decoded and
+    every error position is eliminated with BadSubshareValue. Returns
+    ([{origin: SubshareBundle} per family], active); each bundle keeps
+    every party's g polynomial of the origin's deal for
+    verify_gap_form.
     """
     s, p, t = scenario, scenario.p, scenario.t
+    shapes = [np.shape(vals[active.active[0]]) for _, vals, _, _ in families]
+    groups = {}
+    for fx, (_, _, _, zeta) in enumerate(families):
+        groups.setdefault((zeta, shapes[fx]), []).append(fx)
+
+    bundles = [{} for _ in families]
+    for (zeta, shape), members in groups.items():
+        live = active.active
+        before = set(active.eliminated)
+        lab = ShareLabel(1, t, zeta - 1)
+        owner = {}
+        instances = []
+        for fx in members:
+            tag, f_values = families[fx][:2]
+            for n in live:
+                iid = f"q{n:03d}" if len(members) == 1 \
+                    else f"q{n:03d}f{fx:02d}"
+                owner[iid] = (fx, n)
+                instances.append(BatchInstance(
+                    iid, n, lab,
+                    evss_deal(FMatrix(np.asarray(f_values[n]), p), lab,
+                              rng_for(s.seed, n, f"{tag}:q"))))
+        tag = families[members[0]][0]
+        outcomes = run_evss_batch(network, adv, s, f"{tag}:q", instances,
+                                  kinds={b.iid: kind for b in instances})
+        zero = np.zeros(shape, dtype=np.int64)
+        for iid, (fx, n) in owner.items():
+            res = outcomes[iid]
+            if not res.accepted:
+                active.eliminate(n, EVSS_REJECTED)
+            vals = {j: zero if res.shares[j] is None else res.shares[j]
+                    for j in live}
+            bundles[fx][n] = SubshareBundle(n, vals, zeta, zeta + t - 1,
+                                            res.g)
+        _record_eliminations(network, tag, before, active)
+
     live = active.active
     before = set(active.eliminated)
-    shape = np.asarray(f_values[live[0]]).shape
-    lab = ShareLabel(1, t, zeta - 1)
-
-    instances = [
-        BatchInstance(f"q{n:03d}", n, lab,
-                      evss_deal(FMatrix(np.asarray(f_values[n]), p), lab,
-                                rng_for(s.seed, n, f"{prefix}:q")))
-        for n in live]
-    outcomes = run_evss_batch(network, adv, s, f"{prefix}:q", instances,
-                              kinds={b.iid: kind for b in instances})
-
-    zero = np.zeros(shape, dtype=np.int64)
-    rejected = []
-    holdings = {j: {} for j in live}
-    bundles = {}
-    for n, b in zip(live, instances):
-        res = outcomes[b.iid]
-        if not res.accepted:
-            rejected.append(n)
-        vals = {}
-        for j in live:
-            v = res.shares[j]
-            vals[j] = zero if v is None else v
-            holdings[j][n] = vals[j]
-        bundles[n] = SubshareBundle(n, vals, zeta, zeta + t - 1, res.g)
-
-    code = build_code(live, range(p_deg + 1), p)
-    errs = {}
-    if code.H.shape[0]:
-        syn = shares_times_matrix(
-            network, adv, s, f"{prefix}:syn", active, holdings, live,
-            code.H.T.copy(), zeta + t - 1, active.budget(t), shape)
-        if syn.any():
-            errs = syndrome_decode(code, syn, active.budget(t))
-            if errs is None:
+    budget = active.budget(t)
+    by_degree, codes, parts = {}, [], []
+    for fx, (_, _, p_deg, zeta) in enumerate(families):
+        if len(live) < p_deg + 1:
+            raise TooFewSurvivors(
+                f"{len(live)} surviving parties cannot fix degree {p_deg}")
+        if p_deg not in by_degree:
+            by_degree[p_deg] = build_code(live, range(p_deg + 1), p)
+        code = by_degree[p_deg]
+        if code.H.shape[0]:
+            holdings = {j: {n: bundles[fx][n].values[j] for n in live}
+                        for j in live}
+            codes.append(code)
+            parts.append((holdings, live, code.H.T.copy(), zeta + t - 1,
+                          shapes[fx]))
+    errs = set()
+    if parts:
+        syns = shares_times_matrix(network, adv, s, f"{prefix}:syn", active,
+                                   parts, budget)
+        for code, syn in zip(codes, syns):
+            if not syn.any():
+                continue
+            found = syndrome_decode(code, syn, budget)
+            if found is None:
                 raise DecodingFailure(
                     "subshare constants beyond the error budget")
-
-    for n in rejected:
-        active.eliminate(n, EVSS_REJECTED)
+            errs |= set(found)
     for pt in sorted(errs):
         active.eliminate(int(pt), BAD_SUBSHARE)
     _record_eliminations(network, prefix, before, active)
     return bundles, active
 
 
-def verify_gap_form(network, adv, scenario, prefix, active, bundles):
+def verify_gap_form(network, adv, scenario, prefix, active, families):
     """Check each origin's subshare polynomial for its interior zero run.
 
-    bundles: {origin: SubshareBundle} from one subshare_of_shares call.
-    Nothing runs when the bundles carry no gap. Otherwise one broadcast
-    on <prefix>:par carries every live party's parity rows
-    P_o(alpha_i) for all checked origins, computed from the g
-    polynomials the origins' own EVSS deals gave it (see the module
-    docstring), and each origin's word is decoded once at degree
-    zeta+t-1 within the remaining adversary budget. A nonzero constant
-    eliminates the origin with BadGapForm; every corrected position
-    eliminates its sender with BadSubshareValue. A word beyond the
-    budget raises DecodingFailure and blames nobody. Returns the
-    updated ActiveSet.
+    families: [{origin: SubshareBundle}] from one subshare_of_shares
+    call; families without a gap (zeta < 2) are skipped, and nothing
+    runs when none is left. Otherwise one broadcast on <prefix>:par
+    carries every live party's parity rows P_o(alpha_i) for every
+    checked family and origin, computed from the g polynomials the
+    origins' own EVSS deals gave it (see the module docstring). Each
+    origin's word is decoded once at degree zeta+t-1 within the
+    remaining adversary budget. A nonzero constant eliminates the
+    origin with BadGapForm; every corrected position eliminates its
+    sender with BadSubshareValue. A word beyond the budget raises
+    DecodingFailure and blames nobody. Returns the updated ActiveSet.
     """
     s, p, t = scenario, scenario.p, scenario.t
-    checked = [o for o in active.active if o in bundles]
-    if not checked or bundles[checked[0]].zeta < 2:
-        return active
-    zeta = bundles[checked[0]].zeta
     live = active.active
-    before = set(active.eliminated)
-    shape = next(iter(bundles[checked[0]].values.values())).shape
-    # P_o(alpha_i) = sum_j H_j g_i(alpha_j) = (H V) @ (g_i's coefficients)
-    h = build_code(live, (0,) + tuple(range(zeta, zeta + t)), p).H
-    weights = mat_mul(h, vandermonde(live, zeta + t, p), p)
-    k, d1 = weights.shape
-
-    # g[i, o] = party i's g coefficients for origin o, missing -> 0
-    g = np.zeros((len(live), len(checked), d1) + shape, dtype=np.int64)
-    for ox, o in enumerate(checked):
+    checks, rows = [], {i: [] for i in live}
+    for bundles in families:
+        checked = [o for o in live if o in bundles]
+        if not checked or bundles[checked[0]].zeta < 2:
+            continue
+        zeta = bundles[checked[0]].zeta
+        shape = next(iter(bundles[checked[0]].values.values())).shape
+        # P_o(alpha_i) = sum_j H_j g_i(alpha_j) = (H V) @ (g_i's coeffs)
+        h = build_code(live, (0,) + tuple(range(zeta, zeta + t)), p).H
+        weights = mat_mul(h, vandermonde(live, zeta + t, p), p)
+        k, d1 = weights.shape
+        # g[i, o] = party i's g coefficients for origin o, missing -> 0
+        g = np.zeros((len(live), len(checked), d1) + shape, dtype=np.int64)
+        for ox, o in enumerate(checked):
+            for ix, i in enumerate(live):
+                gi = bundles[o].g.get(i)
+                if gi is not None:
+                    g[ix, ox] = gi
+        par = mat_mul(weights, np.moveaxis(g, 2, 0).reshape(d1, -1), p)
+        par = np.moveaxis(
+            par.reshape((k, len(live), len(checked)) + shape), 0, 2)
         for ix, i in enumerate(live):
-            gi = bundles[o].g.get(i)
-            if gi is not None:
-                g[ix, ox] = gi
-    par = mat_mul(weights, np.moveaxis(g, 2, 0).reshape(d1, -1), p)
-    par = np.moveaxis(par.reshape((k, len(live), len(checked)) + shape), 0, 2)
-    rows = {i: par[ix].reshape((len(checked) * k,) + shape)
-            for ix, i in enumerate(live)}
-    word = _broadcast_rows(network, adv, s, f"{prefix}:par", live, rows,
-                           len(checked) * k, shape)
+            rows[i].append(par[ix].reshape((len(checked) * k,) + shape))
+        checks.append((checked, zeta, k, shape))
+    if not checks:
+        return active
 
+    before = set(active.eliminated)
+    words = _broadcast_rows(
+        network, adv, s, f"{prefix}:par", live, rows,
+        [(len(checked) * k,) + shape for checked, _, k, shape in checks])
     budget = active.budget(t)
-    for ox, o in enumerate(checked):
-        part = word[:, ox * k:(ox + 1) * k].reshape(
-            (len(live), k * shape[0]) + shape[1:])
-        poly, errs = decode(zeta + t - 1, live, part, budget, p)
-        if poly.c[:1].any():      # the constant P_o(0); c is trimmed
-            active.eliminate(o, BAD_GAP)
-        for pt in sorted(errs):
-            active.eliminate(int(pt), BAD_SUBSHARE)
+    for (checked, zeta, k, shape), word in zip(checks, words):
+        for ox, o in enumerate(checked):
+            part = word[:, ox * k:(ox + 1) * k].reshape(
+                (len(live), k * shape[0]) + shape[1:])
+            poly, errs = decode(zeta + t - 1, live, part, budget, p)
+            if poly.c[:1].any():      # the constant P_o(0); c is trimmed
+                active.eliminate(o, BAD_GAP)
+            for pt in sorted(errs):
+                active.eliminate(int(pt), BAD_SUBSHARE)
     _record_eliminations(network, prefix, before, active)
     return active
 
 
-def eval_shared_poly(network, adv, scenario, prefix, active, f_values,
-                     p_deg, target):
-    """Everyone learns F(target) from the shares F(alpha_n).
+def eval_shared_poly(network, adv, scenario, prefix, active, polys, target):
+    """Everyone learns F(target) for every F from its shares F(alpha_n).
 
-    Re-shares through subshare_of_shares with zeta = 1 (no gap), which
-    also eliminates wrong constants, then recombines with Lagrange
-    weights over the surviving points and decodes the broadcast
-    degree-t word. Returns the (r, c) value of F at target.
+    polys: [(f_values, p_deg)]. Re-shares them all through one
+    subshare_of_shares call with zeta = 1 (no gap), so same-shaped
+    values share one EVSS batch and wrong constants are eliminated,
+    then recombines every F with Lagrange weights over the surviving
+    points in one broadcast on <prefix>:mix and decodes each degree-t
+    word. Returns the (r, c) value of every F at target, in order.
     """
     s, p, t = scenario, scenario.p, scenario.t
-    if len(active.active) < p_deg + 1:
+    top = max(p_deg for _, p_deg in polys)
+    if len(active.active) < top + 1:
         raise ParameterViolation(
-            f"{len(active.active)} active parties cannot fix degree {p_deg}")
+            f"{len(active.active)} active parties cannot fix degree {top}")
     bundles, active = subshare_of_shares(
-        network, adv, s, f"{prefix}:sub", active, f_values, p_deg, 1)
+        network, adv, s, f"{prefix}:sub", active,
+        [(f"{prefix}:sub{k}", vals, p_deg, 1)
+         for k, (vals, p_deg) in enumerate(polys)])
     live = active.active
-    if len(live) < p_deg + 1:
-        raise TooFewSurvivors(
-            f"{len(live)} surviving parties cannot fix degree {p_deg}")
-    shape = next(iter(bundles[live[0]].values.values())).shape
-    lam = lagrange_coeffs(live, target, p)
-    hpub = np.array(lam, dtype=np.int64).reshape(-1, 1)
-    holdings = {j: {o: bundles[o].values[j] for o in live} for j in live}
-    out = shares_times_matrix(
-        network, adv, s, f"{prefix}:mix", active, holdings, live, hpub,
-        t, active.budget(t), shape)
-    return out[0]
+    hpub = np.array(lagrange_coeffs(live, target, p),
+                    dtype=np.int64).reshape(-1, 1)
+    parts = [({j: {o: b[o].values[j] for o in live} for j in live}, live,
+              hpub, t, b[live[0]].values[live[0]].shape) for b in bundles]
+    out = shares_times_matrix(network, adv, s, f"{prefix}:mix", active,
+                              parts, active.budget(t))
+    return [v[0] for v in out]

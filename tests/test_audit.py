@@ -366,7 +366,7 @@ def gap_view(n, t, m, p, secret, draws, leak):
                             m, d1 - 1, {j: g for j, (_, g) in zip(s.workers, pairs)})
     net = Network(s, Transcript())
     verify_gap_form(net, AdversaryController(s), s, "gap",
-                    ActiveSet(s.workers), {1: bundle})
+                    ActiveSet(s.workers), [{1: bundle}])
     rows = [e.payload[1].ravel() for e in net.transcript.envelopes]
     assert len(rows) == n
     return np.concatenate([c.ravel() for pair in pairs for c in pair] + rows)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from compc.errors import DimensionMismatch, DivisionByZero, IndivisibleSplit
 from compc.gf import (DEFAULT_PRIME, FMatrix, fe_inv, fe_mul, fe_pow,
-                      hconcat, mat_mul, nullspace_raw, rref,
+                      hconcat, is_field_array, mat_mul, nullspace_raw, rref,
                       solve_nullspace, solve_particular, vconcat)
 
 
@@ -152,3 +152,23 @@ def test_rref_idempotent():
     r1, piv1 = rref([[2, 4, 1], [1, 2, 3]], 7)
     r2, piv2 = rref(r1, 7)
     assert np.array_equal(r1, r2) and piv1 == piv2
+
+
+def test_is_field_array_one_rule():
+    p = 7
+    good = np.array([[0, 6], [3, 1]], dtype=np.int64)
+    assert is_field_array(good, (2, 2), p)
+    assert is_field_array(np.zeros((0, 2), dtype=np.int64), (0, 2), p)
+    # one dtype rule: int64 only, whatever the entries
+    for dtype in (bool, float, object, np.uint8, np.int32):
+        assert not is_field_array(good.astype(dtype), (2, 2), p), dtype
+    assert not is_field_array(good.tolist(), (2, 2), p)
+    neg, top = good.copy(), good.copy()
+    neg[0, 0] = -1
+    top[1, 1] = p
+    assert not is_field_array(neg, (2, 2), p)
+    assert not is_field_array(top, (2, 2), p)
+    assert not is_field_array(good, (4,), p)
+    assert not is_field_array(good, (2, 2, 1), p)
+    assert not is_field_array(np.zeros((0,), dtype=np.int64), (2, 2), p)
+    assert not is_field_array(np.zeros((0, 2)), (0, 2), p)

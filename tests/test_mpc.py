@@ -406,10 +406,29 @@ def test_share_then_reveal_returns_input():
     assert np.array_equal(tr.master_output.a, x)
 
 
+def test_reveal_names_corrected_senders():
+    # a revealed share the decoder corrects names its sender in a
+    # "correct" event; nobody is eliminated for it
+    rng = np.random.default_rng(30)
+    x = rng.integers(0, 13, size=(2, 2))
+    named = 0
+    for seed in range(8):
+        s = program_scenario(4, 1, 1, 2, 13, seed, [x],
+                             [ProgramOp("share", (0, DIRECT), "x"),
+                              ProgramOp("reveal", ("x",))],
+                             adversaries=((4, "RandomByzantine"),))
+        tr = execute(s)
+        assert np.array_equal(tr.master_output.a, x)
+        assert set(tr.events) <= {("correct", "r1out:send", 4)}
+        named += bool(tr.events)
+    assert named
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_honest_multiply_round_count(m):
-    # SHARE/SHARE/MUL/REVEAL: 18 + 5m rounds, of which each of the m gap
-    # checks (the a family and the b families with gap >= 2) is one
+    # SHARE/SHARE/MUL/REVEAL: 19 + 3m rounds. The m + 1 re-sharing
+    # families deal in their own EVSS batches (3 rounds each) but share
+    # one syndrome round and one gap-parity round
     t, p = 1, 97
     n, z = 3 * t + 2 * m - 1, 2 * m
     rng = np.random.default_rng(40 + m)
@@ -419,11 +438,13 @@ def test_honest_multiply_round_count(m):
                ProgramOp("mul", ("a", "b"), "c"),
                ProgramOp("reveal", ("c",))]
     tr = execute(program_scenario(n, t, m, z, p, 3, xs, program))
-    assert tr.envelopes[-1].round + 1 == 18 + 5 * m
-    gap = {e.round for e in tr.envelopes if "v:" in e.phase}
-    assert len(gap) == m
-    assert all(e.phase.endswith(":par") for e in tr.envelopes
-               if e.round in gap)
+    assert tr.envelopes[-1].round + 1 == 19 + 3 * m
+    for last in ("syn", "par"):
+        rounds = {e.round for e in tr.envelopes
+                  if e.phase.split(":")[-1] == last}
+        assert len(rounds) == 1
+        assert {e.phase for e in tr.envelopes if e.round in rounds} == \
+            {f"r2mul:{last}"}
 
 
 def test_program_product_plus_addend_gf11():

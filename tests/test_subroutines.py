@@ -49,6 +49,27 @@ def honest_bundles(live, f_vals, zeta, t, p, seed=11):
     return out
 
 
+def stm(net, adv, s, active, holdings, hpub):
+    """One (1, 1) part of degree 0 at budget 1 through
+    shares_times_matrix."""
+    return shares_times_matrix(net, adv, s, "p", active,
+                               [(holdings, s.workers, hpub, 0, (1, 1))],
+                               1)[0]
+
+
+def subshare(net, adv, s, active, f_vals, p_deg, zeta):
+    """One family through subshare_of_shares: (its bundles, active)."""
+    bundles, active = subshare_of_shares(net, adv, s, "sub", active,
+                                         [("sub", f_vals, p_deg, zeta)])
+    return bundles[0], active
+
+
+def evaluate(net, adv, s, active, f_vals, p_deg, target):
+    """One polynomial through eval_shared_poly."""
+    return eval_shared_poly(net, adv, s, "ev", active, [(f_vals, p_deg)],
+                            target)[0]
+
+
 def parity_rows(transcript):
     return {e.sender: e.payload[1] for e in transcript.envelopes
             if e.phase.endswith(":par")}
@@ -94,8 +115,7 @@ def test_stm_known_sum():
     # constants (1,2,3,4) against an all-ones column: 10 mod 7
     s, net, adv, active, holdings = stm_setup()
     hpub = np.ones((4, 1), dtype=np.int64)
-    out = shares_times_matrix(net, adv, s, "p", active, holdings,
-                              s.workers, hpub, 0, 1, (1, 1))
+    out = stm(net, adv, s, active, holdings, hpub)
     assert out.shape == (1, 1, 1) and out[0, 0, 0] == 3
 
 
@@ -103,8 +123,7 @@ def test_stm_zero_matrix_zero_output():
     s, net, adv, active, holdings = stm_setup(
         adversaries=((2, "RandomByzantine"),))
     hpub = np.zeros((4, 2), dtype=np.int64)
-    out = shares_times_matrix(net, adv, s, "p", active, holdings,
-                              s.workers, hpub, 0, 1, (1, 1))
+    out = stm(net, adv, s, active, holdings, hpub)
     assert not out.any()
 
 
@@ -114,8 +133,7 @@ def test_stm_bad_rows_corrected(strategy):
         s, net, adv, active, holdings = stm_setup(
             adversaries=((3, strategy),), seed=seed)
         hpub = np.ones((4, 1), dtype=np.int64)
-        out = shares_times_matrix(net, adv, s, "p", active, holdings,
-                                  s.workers, hpub, 0, 1, (1, 1))
+        out = stm(net, adv, s, active, holdings, hpub)
         assert out[0, 0, 0] == 3
 
 
@@ -126,17 +144,58 @@ def test_stm_too_many_bad_rows_aborts():
     holdings[3] = {i: np.array([[2]], dtype=np.int64) for i in s.workers}
     hpub = np.ones((4, 1), dtype=np.int64)
     with pytest.raises(DecodingFailure):
-        shares_times_matrix(net, adv, s, "p", active, holdings,
-                            s.workers, hpub, 0, 1, (1, 1))
+        stm(net, adv, s, active, holdings, hpub)
 
 
 def test_stm_row_liars_not_eliminated():
-    s, net, adv, active, holdings = stm_setup(
-        adversaries=((3, "RandomByzantine"),))
-    hpub = np.ones((4, 1), dtype=np.int64)
-    shares_times_matrix(net, adv, s, "p", active, holdings,
-                        s.workers, hpub, 0, 1, (1, 1))
-    assert active.eliminated == {}
+    # a corrected row names its sender in a "correct" event, and the
+    # sender stays active; every honest row is 1+2+3+4 = 3 mod 7
+    named = 0
+    for seed in range(6):
+        s, net, adv, active, holdings = stm_setup(
+            adversaries=((3, "RandomByzantine"),), seed=seed)
+        hpub = np.ones((4, 1), dtype=np.int64)
+        assert stm(net, adv, s, active, holdings, hpub)[0, 0, 0] == 3
+        sent = {e.sender: e.payload[1] for e in net.transcript.envelopes}
+        lied = 3 not in sent or sent[3][0, 0, 0] != 3
+        assert net.transcript.events == ([("correct", "p", 3)] if lied
+                                         else [])
+        assert active.eliminated == {}
+        named += lied
+    assert named
+
+
+def test_stm_parts_share_one_broadcast():
+    # two parts of different shapes and degrees: one round, one
+    # envelope per party, one result per part
+    s, net, adv, active, holdings = stm_setup()
+    wide = {j: {i: np.full((2, 3), i, dtype=np.int64) for i in s.workers}
+            for j in s.workers}
+    out = shares_times_matrix(
+        net, adv, s, "p", active,
+        [(holdings, s.workers, np.ones((4, 1), dtype=np.int64), 0, (1, 1)),
+         (wide, s.workers, np.eye(4, dtype=np.int64)[:, :2], 0, (2, 3))],
+        1)
+    assert net.round == 1 and len(net.transcript.envelopes) == 4
+    assert out[0].shape == (1, 1, 1) and out[0][0, 0, 0] == 3
+    assert out[1].shape == (2, 2, 3)
+    assert (out[1][0] == 1).all() and (out[1][1] == 2).all()
+
+
+def test_stm_part_wider_than_max_dim():
+    # the decoded constant is read from the coefficient array, so a
+    # part may have more rows than an FMatrix allows (gf.MAX_DIM = 64)
+    s = scen(4, 1, p=97)
+    net, adv = net_for(s)
+    rng = np.random.default_rng(15)
+    vals = {i: rng.integers(0, 97, size=(65, 1)) for i in s.workers}
+    holdings = {j: dict(vals) for j in s.workers}
+    out = shares_times_matrix(
+        net, adv, s, "p", ActiveSet(s.workers),
+        [(holdings, s.workers, np.ones((4, 1), dtype=np.int64), 0,
+          (65, 1))], 1)[0]
+    assert out.shape == (1, 65, 1)
+    assert np.array_equal(out[0], sum(vals.values()) % 97)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +209,7 @@ def test_subshare_honest_bundles_interpolate():
     rng = np.random.default_rng(8)
     fc = rand_poly(rng, 2, (2, 2), s.p)
     f_vals = shares_of(fc, s.workers, s.p)
-    bundles, active = subshare_of_shares(net, adv, s, "sub", active,
-                                         f_vals, 2, 2)
+    bundles, active = subshare(net, adv, s, active, f_vals, 2, 2)
     assert active.eliminated == {}
     for n in s.workers:
         b = bundles[n]
@@ -172,8 +230,7 @@ def test_subshare_wrong_constant_eliminated():
     rng = np.random.default_rng(9)
     fc = rand_poly(rng, 2, (2, 2), s.p)
     f_vals = shares_of(fc, s.workers, s.p)
-    bundles, active = subshare_of_shares(net, adv, s, "sub", active,
-                                         f_vals, 2, 2)
+    bundles, active = subshare(net, adv, s, active, f_vals, 2, 2)
     assert active.eliminated == {3: BAD_SUBSHARE}
     # honest origins unaffected
     from compc.poly import interpolate
@@ -194,10 +251,57 @@ def test_subshare_rejected_dealer_eliminated(strategy, reason):
     rng = np.random.default_rng(10)
     fc = rand_poly(rng, 2, (2, 2), s.p)
     f_vals = shares_of(fc, s.workers, s.p)
-    bundles, active = subshare_of_shares(net, adv, s, "sub", active,
-                                         f_vals, 2, 2)
+    bundles, active = subshare(net, adv, s, active, f_vals, 2, 2)
     assert active.eliminated == {2: reason}
     assert not any(bundles[2].values[j].any() for j in s.workers)
+
+
+def test_subshare_families_share_batches_and_one_syndrome_round():
+    # families of one (zeta, shape) share an EVSS batch; every family's
+    # syndrome rides the one :syn broadcast
+    s = scen(5, 1, p=97)
+    net, adv = net_for(s)
+    rng = np.random.default_rng(16)
+    polys = [rand_poly(rng, 2, shape, s.p)
+             for shape in ((2, 2), (2, 2), (2, 2), (1, 2))]
+    zetas = (2, 1, 2, 2)
+    families = [(f"sub:f{k}", shares_of(fc, s.workers, s.p), 2, zeta)
+                for k, (fc, zeta) in enumerate(zip(polys, zetas))]
+    bundles, active = subshare_of_shares(net, adv, s, "sub",
+                                         ActiveSet(s.workers), families)
+    assert active.eliminated == {}
+    phases = [e.phase for e in net.transcript.envelopes]
+    deals = sorted({ph for ph in phases if ph.endswith(":deal")})
+    assert deals == ["sub:f0:q:deal", "sub:f1:q:deal", "sub:f3:q:deal"]
+    syn = [e for e in net.transcript.envelopes if e.phase == "sub:syn"]
+    assert len(syn) == 5 and len({e.round for e in syn}) == 1
+    assert all(len(e.payload[1]) == 4 for e in syn)
+    assert net.round == 3 * 3 + 1
+    from compc.poly import interpolate
+    for fc, zeta, bnd in zip(polys, zetas, bundles):
+        for n in s.workers:
+            q = interpolate(list(s.workers),
+                            [bnd[n].values[j] for j in s.workers], s.p)
+            assert np.array_equal(q.coeff(0).a, _poly_at(fc, n, s.p))
+            assert all(not q.coeff(e).a.any() for e in range(1, zeta))
+
+
+def test_subshare_rejected_dealer_deals_no_later_batch():
+    s = scen(5, 1, p=97, seed=4, adversaries=((2, "InconsistentEvssDealer"),))
+    net, adv = net_for(s)
+    rng = np.random.default_rng(17)
+    families = [(f"sub:f{k}", shares_of(rand_poly(rng, 2, (2, 2), s.p),
+                                        s.workers, s.p), 2, zeta)
+                for k, zeta in enumerate((2, 1))]
+    bundles, active = subshare_of_shares(net, adv, s, "sub",
+                                         ActiveSet(s.workers), families)
+    assert active.eliminated == {2: EVSS_REJECTED}
+    assert 2 in bundles[0] and 2 not in bundles[1]
+    senders = {ph: {e.sender for e in net.transcript.envelopes
+                    if e.phase == ph}
+               for ph in ("sub:f0:q:deal", "sub:f1:q:deal")}
+    assert 2 in senders["sub:f0:q:deal"]
+    assert 2 not in senders["sub:f1:q:deal"]
 
 
 def test_subshare_deterministic_transcript():
@@ -208,8 +312,8 @@ def test_subshare_deterministic_transcript():
         net, adv = net_for(s)
         active = ActiveSet(s.workers)
         fc = rand_poly(np.random.default_rng(2), 2, (1, 1), s.p)
-        subshare_of_shares(net, adv, s, "sub", active,
-                           shares_of(fc, s.workers, s.p), 2, 2)
+        subshare(net, adv, s, active,
+                 shares_of(fc, s.workers, s.p), 2, 2)
         outs.append(net.transcript.serialize())
     assert outs[0] == outs[1]
 
@@ -225,7 +329,7 @@ def test_gap_form_honest_retains_everyone():
     rng = np.random.default_rng(3)
     f_vals = shares_of(rand_poly(rng, 2, (2, 2), s.p), s.workers, s.p)
     bundles = honest_bundles(s.workers, f_vals, 2, s.t, s.p)
-    active = verify_gap_form(net, adv, s, "gap", active, bundles)
+    active = verify_gap_form(net, adv, s, "gap", active, [bundles])
     assert active.eliminated == {}
     # one broadcast: every party sends 3 parity rows per origin, nonzero
     assert net.round == 1
@@ -241,7 +345,7 @@ def test_gap_form_no_gap_is_a_noop():
     f_vals = shares_of(rand_poly(np.random.default_rng(1), 1, (1, 1), s.p),
                        s.workers, s.p)
     bundles = honest_bundles(s.workers, f_vals, 1, s.t, s.p)
-    active = verify_gap_form(net, adv, s, "gap", active, bundles)
+    active = verify_gap_form(net, adv, s, "gap", active, [bundles])
     assert net.round == 0 and active.eliminated == {}
 
 
@@ -252,10 +356,9 @@ def test_gap_form_bad_origin_eliminated():
     active = ActiveSet(s.workers)
     rng = np.random.default_rng(5)
     f_vals = shares_of(rand_poly(rng, 2, (2, 2), s.p), s.workers, s.p)
-    bundles, active = subshare_of_shares(net, adv, s, "sub", active,
-                                         f_vals, 2, 2)
+    bundles, active = subshare(net, adv, s, active, f_vals, 2, 2)
     assert active.eliminated == {}     # constants are right, EVSS accepts
-    active = verify_gap_form(net, adv, s, "gap", active, bundles)
+    active = verify_gap_form(net, adv, s, "gap", active, [bundles])
     assert active.eliminated == {2: BAD_GAP}
 
 
@@ -267,14 +370,15 @@ def test_gap_form_lying_parity_sender_blamed_not_origin(strategy):
     f_vals = shares_of(rand_poly(rng, 2, (2, 2), 97), clean.workers, 97)
     bundles = honest_bundles(clean.workers, f_vals, 2, 1, 97)
     net, adv = net_for(clean)
-    verify_gap_form(net, adv, clean, "gap", ActiveSet(clean.workers), bundles)
+    verify_gap_form(net, adv, clean, "gap", ActiveSet(clean.workers),
+                    [bundles])
     truth = parity_rows(net.transcript)[4]
     blamed = 0
     for seed in range(6):
         s = scen(5, 1, p=97, seed=seed, adversaries=((4, strategy),))
         net, adv = net_for(s)
         active = verify_gap_form(net, adv, s, "gap", ActiveSet(s.workers),
-                                 bundles)
+                                 [bundles])
         sent = parity_rows(net.transcript).get(4)
         lied = sent is None or not np.array_equal(sent, truth)
         assert active.eliminated == ({4: BAD_SUBSHARE} if lied else {})
@@ -289,13 +393,13 @@ def test_gap_form_bad_origin_blamed_next_to_lying_row():
     net, adv = net_for(s)
     rng = np.random.default_rng(13)
     f_vals = shares_of(rand_poly(rng, 2, (2, 2), s.p), s.workers, s.p)
-    bundles, active = subshare_of_shares(net, adv, s, "sub",
-                                         ActiveSet(s.workers), f_vals, 2, 2)
+    bundles, active = subshare(net, adv, s, ActiveSet(s.workers), f_vals,
+                               2, 2)
     assert active.eliminated == {}
     s2 = scen(8, 2, p=97, seed=3, adversaries=((2, "BadGapCoefficient"),
                                                (5, "Silent")))
     active = verify_gap_form(net, AdversaryController(s2), s2, "gap",
-                             active, bundles)
+                             active, [bundles])
     assert active.eliminated == {2: BAD_GAP, 5: BAD_SUBSHARE}
 
 
@@ -310,7 +414,7 @@ def test_gap_form_beyond_budget_aborts_without_blame():
         del b.g[3], b.g[4]
     active = ActiveSet(s.workers)
     with pytest.raises(DecodingFailure):
-        verify_gap_form(net, adv, s, "gap", active, bundles)
+        verify_gap_form(net, adv, s, "gap", active, [bundles])
     assert active.eliminated == {}
 
 
@@ -321,9 +425,8 @@ def test_gap_coefficient_strategy_honest_without_gap():
     active = ActiveSet(s.workers)
     f_vals = shares_of(rand_poly(np.random.default_rng(4), 1, (1, 1), s.p),
                        s.workers, s.p)
-    bundles, active = subshare_of_shares(net, adv, s, "sub", active,
-                                         f_vals, 1, 1)
-    active = verify_gap_form(net, adv, s, "gap", active, bundles)
+    bundles, active = subshare(net, adv, s, active, f_vals, 1, 1)
+    active = verify_gap_form(net, adv, s, "gap", active, [bundles])
     assert active.eliminated == {}
 
 
@@ -337,8 +440,8 @@ def test_eval_known_line():
     net, adv = net_for(s)
     active = ActiveSet(s.workers)
     fc = np.array([2, 2], dtype=np.int64).reshape(2, 1, 1)
-    out = eval_shared_poly(net, adv, s, "ev", active,
-                           shares_of(fc, s.workers, s.p), 1, 5)
+    out = evaluate(net, adv, s, active,
+                   shares_of(fc, s.workers, s.p), 1, 5)
     assert out.shape == (1, 1) and out[0, 0] == 5
 
 
@@ -349,8 +452,8 @@ def test_eval_constant_any_target():
     fc = np.full((1, 1, 1), 3, dtype=np.int64)
     for target in (0, 1, 42):
         n2, a2 = net_for(s)
-        out = eval_shared_poly(n2, a2, s, "ev", ActiveSet(s.workers),
-                               shares_of(fc, s.workers, s.p), 0, target)
+        out = evaluate(n2, a2, s, ActiveSet(s.workers),
+                       shares_of(fc, s.workers, s.p), 0, target)
         assert out[0, 0] == 3
 
 
@@ -362,8 +465,8 @@ def test_eval_byzantine_broadcaster_unchanged():
         s = scen(4, 1, p=97, seed=seed,
                  adversaries=((2, "RandomByzantine"),))
         net, adv = net_for(s)
-        out = eval_shared_poly(net, adv, s, "ev", ActiveSet(s.workers),
-                               shares_of(fc, s.workers, s.p), 1, 9)
+        out = evaluate(net, adv, s, ActiveSet(s.workers),
+                       shares_of(fc, s.workers, s.p), 1, 9)
         assert np.array_equal(out, expect)
         assert ActiveSet(s.workers).eliminated == {}
 
@@ -376,8 +479,8 @@ def test_eval_requires_enough_active_parties():
     active.eliminate(2, EVSS_REJECTED)
     fc = rand_poly(np.random.default_rng(0), 2, (1, 1), s.p)
     with pytest.raises(ParameterViolation):
-        eval_shared_poly(net, adv, s, "ev", active,
-                         shares_of(fc, s.workers, s.p), 2, 3)
+        evaluate(net, adv, s, active,
+                 shares_of(fc, s.workers, s.p), 2, 3)
 
 
 def test_eval_too_few_survivors_after_rejection():
@@ -385,8 +488,8 @@ def test_eval_too_few_survivors_after_rejection():
     net, adv = net_for(s)
     fc = rand_poly(np.random.default_rng(1), 3, (1, 1), s.p)
     with pytest.raises(TooFewSurvivors):
-        eval_shared_poly(net, adv, s, "ev", ActiveSet(s.workers),
-                         shares_of(fc, s.workers, s.p), 3, 2)
+        evaluate(net, adv, s, ActiveSet(s.workers),
+                 shares_of(fc, s.workers, s.p), 3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -404,13 +507,11 @@ def test_honest_pipeline_property(seed, t, zeta, p_deg):
     rng = np.random.default_rng(seed)
     fc = rand_poly(rng, p_deg, (2, 1), s.p)
     f_vals = shares_of(fc, s.workers, s.p)
-    bundles, active = subshare_of_shares(net, adv, s, "sub", active,
-                                         f_vals, p_deg, zeta)
-    active = verify_gap_form(net, adv, s, "gap", active, bundles)
+    bundles, active = subshare(net, adv, s, active, f_vals, p_deg, zeta)
+    active = verify_gap_form(net, adv, s, "gap", active, [bundles])
     assert active.eliminated == {}
     target = int(rng.integers(0, s.p))
-    out = eval_shared_poly(net, adv, s, "ev", active, f_vals, p_deg,
-                           target)
+    out = evaluate(net, adv, s, active, f_vals, p_deg, target)
     assert np.array_equal(out, _poly_at(fc, target, s.p))
 
 
@@ -426,7 +527,6 @@ def test_adversarial_pipeline_never_eliminates_honest():
             active = ActiveSet(s.workers)
             fc = rand_poly(np.random.default_rng(seed + 50), 2, (2, 2), s.p)
             f_vals = shares_of(fc, s.workers, s.p)
-            bundles, active = subshare_of_shares(net, adv, s, "sub",
-                                                 active, f_vals, 2, 2)
-            active = verify_gap_form(net, adv, s, "gap", active, bundles)
+            bundles, active = subshare(net, adv, s, active, f_vals, 2, 2)
+            active = verify_gap_form(net, adv, s, "gap", active, [bundles])
             assert set(active.eliminated) <= {who}, (strategy, seed)

@@ -135,11 +135,12 @@ def test_views_use_the_transcript_line_format():
         assert view_of(tr, subset).messages == "\n".join(lines).encode()
 
 
-# pinned when the gap check moved onto the EVSS cross polynomials (one
-# parity broadcast per check); the revealed product is unchanged
+# pinned when the re-sharing families of one protocol step began to
+# share their syndrome, gap-parity and recombination broadcasts; the
+# revealed product is unchanged
 GOLDEN_SHA256 = \
-    "12149cc304467d10bf5002a3f7b75e9043d3bdead11dec1c749d5d2c0229a586"
-GOLDEN_BYTES = 174_821
+    "f72f66261026c904de26f3f99aa1fe6b9329edab8863a60fd249cbed20fb17ca"
+GOLDEN_BYTES = 161_410
 GOLDEN_MASTER = \
     "master=3edcae1b918b307a83c73e58a80a32009361f6ec7f87f8c944a5813d020038fd"
 
