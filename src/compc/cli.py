@@ -8,10 +8,11 @@ line-delimited records with a stable key order, so identical configs
 and seeds produce identical bytes; the sweep's wall-time column is the
 one deliberate exception.
 
-Exit codes: 0 success, 2 configuration error, 3 protocol abort,
-4 leakage flagged by an audit. A run's `correct` field is judged
-against a plain Python-integer evaluation of the same program, kept
-free of any protocol code.
+Exit codes: 0 success, 1 a run finished with a wrong output,
+2 configuration error, 3 protocol abort (any failure inside a run that
+is not a ParameterViolation), 4 leakage flagged by an audit. A run's
+`correct` field is judged against a plain Python-integer evaluation of
+the same program, kept free of any protocol code.
 """
 
 import argparse
@@ -221,7 +222,10 @@ def cmd_run(config):
     name = os.path.splitext(os.path.basename(config.scenario))[0]
     try:
         transcript = run_scenario(scenario)
-    except (ProtocolAbort, TooFewSurvivors) as exc:
+    except ParameterViolation:
+        raise
+    except CompcError as exc:
+        # a decoder that gives up mid-run is an abort, not a bad config
         line = (f"record=run scenario={name} n={scenario.n} t={scenario.t} "
                 f"m={scenario.m} p={scenario.p} seed={scenario.seed} "
                 f"correct=false abort={exc.__class__.__name__} "

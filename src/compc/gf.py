@@ -56,20 +56,8 @@ def check_prime(p):
 
 # -- scalar ops ---------------------------------------------------------
 
-def fe_add(a, b, p):
-    return (a + b) % p
-
-
-def fe_sub(a, b, p):
-    return (a - b) % p
-
-
 def fe_mul(a, b, p):
     return a * b % p
-
-
-def fe_neg(a, p):
-    return -a % p
 
 
 def fe_inv(a, p):
@@ -113,14 +101,6 @@ def mat_mul(a, b, p):
     b = np.asarray(b, dtype=np.int64)
     hi, lo = a >> 16, a & 0xFFFF
     return ((hi @ b % p) * 65536 + lo @ b) % p
-
-
-def mat_inv_vec(v, p):
-    """Elementwise inverse of a vector of nonzero elements."""
-    out = np.empty_like(v)
-    for i, x in enumerate(v.tolist()):
-        out[i] = fe_inv(x, p)
-    return out
 
 
 def rref(a, p):
@@ -304,8 +284,3 @@ def vconcat(mats):
     if any(m.p != p for m in mats) or len({m.cols for m in mats}) != 1:
         raise DimensionMismatch("column counts or moduli differ")
     return FMatrix(np.concatenate([m.a for m in mats], axis=0), p)
-
-
-def solve_nullspace(m):
-    """Right-nullspace basis of an FMatrix; rows of the result span it."""
-    return FMatrix(nullspace_raw(m.a, m.p), m.p)

@@ -19,17 +19,22 @@ families. Each family deals through its own EVSS batch (at m = 1 the
 two families have the same gap and shape and share one), and a dealer
 a batch rejects deals in no later one; all families then share one
 syndrome broadcast and one gap-parity broadcast, so an honest multiply
-takes 3m + 12 rounds for m >= 2 and t >= 1. The mask and product
-polynomials are dealt through the consistency layer, and each worker
-checks the product relation at its own point. A complaint is settled
-by publicly evaluating everything the accused dealt at the
-complainer's point, in one call: same-shaped re-sharings share an EVSS
-batch and every value is recombined in one broadcast, 3g + 2 rounds
-for g distinct value shapes (1 at m = 1, 2 otherwise). A relation
-that fails publicly eliminates the dealer, a false accusation costs
-the accused nothing. Extraction weights are recomputed over the
-survivors, so at least 2m+2t-1 of the product polynomials must remain
-usable.
+takes 3m + 12 rounds for m >= 2 and t >= 1. The masks and the product
+polynomial are dealt through the consistency layer, and each worker
+checks the product relation at its own point. The check only uses
+sum_l x^(m+l) O_l, so a worker deals its m+t-1 masks as
+G = ceil((m+t-1)/(2m-1)) polynomials of degree
+D = min(2m-1, m+t-1) + t - 1, one per group of at most 2m-1 masks (at
+m = 1 one per mask, of degree t). A complaint is settled by publicly
+evaluating everything the accused dealt at the complainer's point, in
+one call: same-shaped re-sharings share an EVSS batch and every value
+is recombined in one broadcast, 3g + 2 rounds for g distinct value
+shapes (1 at m = 1, 2 otherwise). The group cap keeps D <= 2m+t-2,
+the largest degree that evaluation decodes with t errors among
+3t+2m-1 points. A relation that fails publicly eliminates the dealer,
+a false accusation costs the accused nothing. Extraction weights are
+recomputed over the survivors, so at least 2m+2t-1 of the product
+polynomials must remain usable.
 
 Direction swaps and transposition re-share each point under one leg
 per output position (gap m-1-j for position j), with the legs sharing
@@ -37,7 +42,6 @@ their verification rounds as above, and recombine the legs with
 extraction weights; with m = 1 both are local share rewrites.
 """
 
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -64,6 +68,11 @@ def recovery_threshold(m, t):
 
 
 class MaskSet(NamedTuple):
+    """One worker's masks O_0..O_{m+t-2}, each of degree at most t.
+
+    multiply_malicious deals them in groups (see mask_groups), never
+    one by one.
+    """
     o_polys: tuple      # m+t-1 polynomials of degree at most t
 
 
@@ -118,6 +127,26 @@ def build_masks(a_n, b_n, m, t, rng):
             acc = (acc - o[l, e - m - l]) % p
         o[lead, t] = acc
     return MaskSet(tuple(MatPoly(o[l], p) for l in range(count)))
+
+
+def mask_groups(masks, m):
+    """The masks as one polynomial per group of at most 2m-1.
+
+    Returns [(a_k, M_k)] with M_k(x) = sum_l x^(l-a_k) O_l(x) over the
+    masks a_k .. a_k+2m-2, so that sum_l x^(m+l) O_l equals
+    sum_k x^(m+a_k) M_k. Each M_k has degree at most
+    min(2m-1, m+t-1) + t - 1, which a settlement's public evaluation
+    can still decode with t errors among 3t+2m-1 points.
+    """
+    size = 2 * m - 1
+    out = []
+    for a in range(0, len(masks.o_polys), size):
+        group = masks.o_polys[a:a + size]
+        poly = group[0]
+        for i, o in enumerate(group[1:], 1):
+            poly = poly + o.shift(i)
+        out.append((a, poly))
+    return out
 
 
 def masked_product(a_n, b_n, masks, m):
@@ -209,9 +238,13 @@ def multiply_malicious(network, adv, scenario, prefix, active, sa, sb):
     sa must be a zero-gap direct and sb a zero-gap reverse sharing
     under one (m, t). Worker points are re-shared and verified (left
     value with gap m-1, right row piece j with gap m-1-j), every
-    worker deals its masks and masked product polynomial through the
-    consistency layer, and the product relation is checked at every
-    point. The complaint broadcast runs in phase <prefix>:check and
+    worker deals its masks, one polynomial M_k per group of at most
+    2m-1 (mask_groups), and its masked product polynomial through the
+    consistency layer, and the product relation
+    C_n = a_n b_n^T - sum_k x^(m+a_k) M_k is checked at every point.
+    All mask groups share one label of degree
+    D = min(2m-1, m+t-1) + t - 1 in one batch on <prefix>:o (instance
+    o<n>x<k>). The complaint broadcast runs in phase <prefix>:check and
     adversary strategies key on the "mul:check" suffix, so callers
     pass a prefix ending in "mul". Complaints are settled by public
     evaluation at the complainer's point; dealers confirmed by fewer
@@ -257,25 +290,29 @@ def multiply_malicious(network, adv, scenario, prefix, active, sa, sb):
                 for n in dealers}
     cpoly = {n: masked_product(qa[n], qb[n], masksets[n], m) for n in dealers}
 
-    # mask deals; at t = 0 the masks are identically zero, skip them
-    o_count = m + t - 1 if t else 0
+    # mask deals, one polynomial per group of at most 2m-1 masks (group
+    # k starts at mask starts[k]); at t = 0 the masks are identically
+    # zero, skip them
+    starts = list(range(0, dmax, 2 * m - 1)) if t else []
+    o_deg = min(2 * m - 1, dmax) + t - 1
     o_shares = {}
-    if o_count:
-        olab = ShareLabel(1, t, 0)
-        tags = [(n, l) for n in dealers for l in range(o_count)]
+    if starts:
+        olab = ShareLabel(min(2 * m - 1, dmax), t, 0)
+        groups = {n: mask_groups(masksets[n], m) for n in dealers}
+        tags = [(n, k) for n in dealers for k in range(len(starts))]
         instances = [
-            BatchInstance(f"o{n:03d}x{l:02d}", n, olab,
-                          evss_deal_poly(masksets[n].o_polys[l], olab,
+            BatchInstance(f"o{n:03d}x{k:02d}", n, olab,
+                          evss_deal_poly(groups[n][k][1], olab,
                                          rng_for(s.seed, n,
-                                                 f"{prefix}:o{l:02d}")))
-            for n, l in tags]
+                                                 f"{prefix}:o{k:02d}")))
+            for n, k in tags]
         outcomes = run_evss_batch(network, adv, s, f"{prefix}:o", instances,
                                   kinds={b.iid: "odeal" for b in instances})
         before = set(active.eliminated)
-        for (n, l), b in zip(tags, instances):
+        for (n, k), b in zip(tags, instances):
             res = outcomes[b.iid]
             if res.accepted:
-                o_shares[(n, l)] = res.shares
+                o_shares[(n, k)] = res.shares
             else:
                 active.eliminate(n, EVSS_REJECTED)
         _record_eliminations(network, f"{prefix}:o", before, active)
@@ -306,14 +343,14 @@ def multiply_malicious(network, adv, scenario, prefix, active, sa, sb):
         for k in range(m):
             bv = (bv + pow(j, k, p) * pieces[k]) % p
         rhs = mat_mul(av, bv.T, p)
-        for l, ov in enumerate(ovals):
-            rhs = (rhs - pow(j, m + l, p) * ov) % p
+        for a, ov in zip(starts, ovals):
+            rhs = (rhs - pow(j, m + a, p) * ov) % p
         return bool(np.array_equal(cv, rhs % p))
 
     def held_values(j, n):
         av = a_bundles[n].values.get(j, zero_zw)
         pieces = [b_bundles[k][n].values.get(j, zero_ww) for k in range(m)]
-        ovals = [o_shares.get((n, l), {}).get(j) for l in range(o_count)]
+        ovals = [o_shares.get((n, k), {}).get(j) for k in range(len(starts))]
         ovals = [zero_zw if v is None else v for v in ovals]
         cv = c_shares[n].get(j)
         return av, pieces, ovals, zero_zw if cv is None else cv
@@ -358,8 +395,8 @@ def multiply_malicious(network, adv, scenario, prefix, active, sa, sb):
                 [(_padded(a_bundles[accused].values, live, zero_zw), dmax)]
                 + [(_padded(b_bundles[k][accused].values, live, zero_ww),
                     dmax - k) for k in range(m)]
-                + [(_padded(o_shares[(accused, l)], live, zero_zw), t)
-                   for l in range(o_count)]
+                + [(_padded(o_shares[(accused, k)], live, zero_zw), o_deg)
+                   for k in range(len(starts))]
                 + [(_padded(c_shares[accused], live, zero_zw), dmax)])
             vals = eval_shared_poly(network, adv, s, tag, active, polys, j)
             av, pieces = vals[0], vals[1:m + 1]
@@ -573,10 +610,3 @@ def execute(scenario):
         else:
             raise ParameterViolation(f"unknown op kind {op.kind!r}")
     return transcript
-
-
-def run_program(program, inputs, scenario):
-    """Execute with the given program and inputs swapped into the
-    scenario; returns the master's revealed matrix."""
-    s = replace(scenario, program=tuple(program), inputs=tuple(inputs))
-    return execute(s.validate()).master_output

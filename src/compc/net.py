@@ -470,11 +470,6 @@ class AdversaryController:
                     inboxes[party]
 
 
-def adversary_act(strategy, ctx, outbox):
-    """Single-strategy hook, mainly for tests."""
-    return strategy.act(ctx, outbox)
-
-
 def run_scenario(scenario):
     """Execute the scenario's program end to end; returns a Transcript."""
     from . import mpc

@@ -1,24 +1,14 @@
 """Matrix-coefficient polynomials, interpolation, and extraction combos.
 
 A MatPoly is a univariate polynomial whose coefficients are equally
-shaped matrices over GF(p); a BiMatPoly is the bivariate analogue with
-a full (dx+1) x (dy+1) coefficient grid (no symmetry assumed).
-Coefficients are stored as one int64 numpy array with the degree axis
-first, trailing zero coefficients trimmed.
+shaped matrices over GF(p). Coefficients are stored as one int64 numpy
+array with the degree axis first, trailing zero coefficients trimmed.
 """
 
 import numpy as np
 
 from .errors import (DuplicatePoints, InsufficientPoints, ShapeMismatch)
 from .gf import FMatrix, arr, fe_inv, fe_mul, mat_mul, solve_particular
-
-
-def _weighted_sum(a, w, p, axis):
-    """Sum of a * w along axis with per-term reduction; int64 safe."""
-    shape = [1] * a.ndim
-    shape[axis] = len(w)
-    return (a * np.asarray(w, dtype=np.int64).reshape(shape) % p).sum(
-        axis=axis, dtype=np.int64) % p
 
 
 def powers(x, count, p):
@@ -161,56 +151,6 @@ class MatPoly:
 
     def __repr__(self):
         return f"MatPoly(deg={self.degree}, shape={self.shape}, p={self.p})"
-
-
-class BiMatPoly:
-    """Bivariate polynomial S(x, y) with matrix coefficients.
-
-    Coefficient grid c[i][j] multiplies x**i * y**j. The grid is kept
-    rectangular and untrimmed so per-variable degrees stay explicit.
-    """
-
-    __slots__ = ("c", "p")
-
-    def __init__(self, coeffs, p):
-        c = np.asarray(coeffs, dtype=np.int64) % p
-        if c.ndim != 4:
-            raise ShapeMismatch(f"expected (dx+1, dy+1, rows, cols), got {c.shape}")
-        self.c = c
-        self.p = p
-
-    @property
-    def deg_x(self):
-        return self.c.shape[0] - 1
-
-    @property
-    def deg_y(self):
-        return self.c.shape[1] - 1
-
-    @property
-    def shape(self):
-        return self.c.shape[2:]
-
-    def fix_y(self, a):
-        """f(x) = S(x, a)."""
-        w = powers(a, self.c.shape[1], self.p)
-        return MatPoly(_weighted_sum(self.c, w, self.p, axis=1), self.p)
-
-    def fix_x(self, a):
-        """g(y) = S(a, y)."""
-        w = powers(a, self.c.shape[0], self.p)
-        return MatPoly(_weighted_sum(self.c, w, self.p, axis=0), self.p)
-
-    def eval(self, x, y):
-        return self.fix_y(y).eval(x)
-
-
-def eval_uni(poly, x):
-    return poly.eval(x)
-
-
-def eval_bi(s, x, y):
-    return s.eval(x, y)
 
 
 def lagrange_coeffs(points, target, p):

@@ -25,7 +25,7 @@ from compc.audit import (LEAK_PRODUCT, LEAK_SOURCE, AuditTemplate, DistTable,
 from compc.errors import ParameterViolation, SpaceTooLarge
 from compc.evss import evss_deal_poly
 from compc.gf import DEFAULT_PRIME, FMatrix, mat_mul, rref
-from compc.mpc import ProgramOp, build_masks, masked_product
+from compc.mpc import ProgramOp, build_masks, mask_groups, masked_product
 from compc.net import (BCAST, PRIV, AdversaryController, Envelope, Network,
                        Scenario, Transcript)
 from compc.poly import MatPoly
@@ -473,3 +473,148 @@ class TestGapParityAudit:
                 assert len(np.unique(both, axis=0)) == len(va) + len(vb)
             else:
                 assert np.array_equal(va, vb) and np.array_equal(ca, cb)
+
+
+def mask_view(m, t, p, tops, draws, leak):
+    """What every worker holds of one honest dealer's mask deals.
+
+    The dealer's product has high coefficients `tops` (x^(m+t) and
+    up): a_n = tops_1 x + .. and b_n = x^(m+t-1), so its product with
+    b_n^T carries them at exactly those powers. The real build_masks
+    draws the masks' uniform coefficients (the first (m+t-1)·t draws,
+    zeroed by `leak`), the real mask_groups forms one polynomial per
+    group, and the real dealing code embeds each group in a bivariate
+    from the remaining draws (rows 1..D per group; row 0 is M_k).
+    Returns, worker by worker, every group's f and g coefficients,
+    flattened.
+    """
+    count = m + t - 1
+    a_n = MatPoly(np.array([0] + list(tops)).reshape(-1, 1, 1), p)
+    b_n = MatPoly(np.eye(count + 1, dtype=np.int64)[count].reshape(-1, 1, 1),
+                  p)
+    own = np.zeros(count * t, dtype=np.int64) if leak else draws[:count * t]
+    groups = mask_groups(build_masks(a_n, b_n, m, t, ScriptedRng(own)), m)
+    size = min(2 * m - 1, count)
+    lab = ShareLabel(size, t)
+    d1 = lab.degree + 1
+    rest = draws[count * t:]
+    per = d1 * (d1 - 1)
+    assert len(rest) == per * len(groups)
+    pairs = []
+    for k, (_, poly) in enumerate(groups):
+        grid = np.concatenate([np.zeros(d1, dtype=np.int64),
+                               rest[k * per:(k + 1) * per]])
+        deal = evss_deal_poly(poly, lab, ScriptedRng(grid))
+        pairs.append([deal.polys_for(j) for j in range(1, 3 * t + 2 * m)])
+    return np.concatenate([c.ravel() for j in range(3 * t + 2 * m - 1)
+                           for group in pairs for c in group[j]])
+
+
+def mask_draw_count(m, t):
+    count = m + t - 1
+    groups = -(-count // (2 * m - 1))
+    d1 = min(2 * m - 1, count) + t
+    return count * t + groups * d1 * (d1 - 1), groups * 2 * d1
+
+
+@lru_cache(maxsize=None)
+def mask_map(m, t, p, leak):
+    """(A, B) with mask_view(tops, draws) = A tops + B draws (mod p)."""
+    k, _ = mask_draw_count(m, t)
+    dmax = m + t - 1
+    zeros = np.zeros(k, dtype=np.int64)
+    a = np.stack([mask_view(m, t, p, e, zeros, leak)
+                  for e in np.eye(dmax, dtype=np.int64)], axis=1)
+    b = np.stack([mask_view(m, t, p, [0] * dmax, e, leak)
+                  for e in np.eye(k, dtype=np.int64)], axis=1)
+    return a, b
+
+
+def mask_observed(m, t, observers, mat):
+    _, width = mask_draw_count(m, t)
+    return np.concatenate([mat[(i - 1) * width:i * width] for i in observers])
+
+
+def mask_private(m, t, p, observers, leak=False):
+    """True iff the observers' view does not depend on the tops: it is
+    uniform on the coset A tops + span(B), so this holds exactly when
+    A's columns lie in span(B)."""
+    a, b = (mask_observed(m, t, observers, x) for x in mask_map(m, t, p, leak))
+    rank_b = len(rref(b, p)[1])
+    return len(rref(np.column_stack([b, a]), p)[1]) == rank_b
+
+
+MASK_SHAPES = [(7, 2, 1), (DEFAULT_PRIME, 2, 3)]
+
+
+def mask_observer_sets(m, t):
+    """Sets of t observers, never the dealer (party 1)."""
+    n = 3 * t + 2 * m - 1
+    if t == 1:
+        return [(i,) for i in range(2, n + 1)]
+    return [tuple(range(2, 2 + t)), tuple(range(n - t + 1, n + 1)),
+            tuple(range(2, n + 1, (n - 2) // (t - 1)))[:t]]
+
+
+class TestMaskGroupAudit:
+    """The grouped mask deal (…mul:o) hides the dealer's product.
+
+    Each group M_k = sum_l x^(l-a_k) O_l is dealt as one EVSS instance
+    of degree D. The masks' top coefficients absorb the product's high
+    coefficients, so what t observers hold of the deals (their f and g
+    for every group) is linear in those coefficients and in the
+    dealer's draws; a rank test decides exactly whether it depends on
+    the product, and at p = 7 a full enumeration of the 7^8 draw
+    vectors agrees.
+    """
+
+    @pytest.mark.parametrize("p,m,t", MASK_SHAPES)
+    def test_view_is_linear_in_tops_and_draws(self, p, m, t):
+        a, b = mask_map(m, t, p, False)
+        k, _ = mask_draw_count(m, t)
+        rng = np.random.default_rng(m + t)
+        for _ in range(2):
+            tops = rng.integers(0, p, size=m + t - 1)
+            draws = rng.integers(0, p, size=k)
+            want = (mat_mul(a, tops[:, None], p)[:, 0]
+                    + mat_mul(b, draws[:, None], p)[:, 0]) % p
+            assert np.array_equal(mask_view(m, t, p, tops, draws, False),
+                                  want)
+
+    @pytest.mark.parametrize("p,m,t", MASK_SHAPES)
+    def test_t_observers_learn_nothing(self, p, m, t):
+        for observers in mask_observer_sets(m, t):
+            assert mask_private(m, t, p, observers), observers
+
+    @pytest.mark.parametrize("p,m,t", MASK_SHAPES)
+    def test_zeroed_uniform_coefficients_leak(self, p, m, t):
+        for observers in mask_observer_sets(m, t):
+            assert not mask_private(m, t, p, observers, leak=True), observers
+
+    def test_enumeration_agrees_with_rank_test(self):
+        p, m, t = MASK_SHAPES[0]
+        k, width = mask_draw_count(m, t)
+        assert p ** k < 2 ** 24
+        lo = 6
+        low = (np.arange(p ** lo)[:, None] // p ** np.arange(lo)) % p
+        digits = p ** np.arange(width)
+        tops = [np.zeros(m + t - 1, dtype=np.int64), np.array([3, 5])]
+        for leak in (False, True):
+            a, b = (mask_observed(m, t, (4,), x)
+                    for x in mask_map(m, t, p, leak))
+            counts = [np.zeros(p ** width, dtype=np.int64) for _ in tops]
+            base_lo = low @ b[:, :lo].T
+            for hi in range(p ** (k - lo)):
+                high = (hi // p ** np.arange(k - lo)) % p
+                base = base_lo + b[:, lo:] @ high
+                for c, top in zip(counts, tops):
+                    keys = ((base + a @ top) % p) @ digits
+                    c += np.bincount(keys, minlength=p ** width)
+            assert counts[0].sum() == counts[1].sum() == p ** k
+            if leak:
+                # disjoint supports: total variation distance 1
+                assert not ((counts[0] > 0) & (counts[1] > 0)).any()
+                assert not mask_private(m, t, p, (4,), leak=True)
+            else:
+                assert np.array_equal(counts[0], counts[1])
+                assert mask_private(m, t, p, (4,))

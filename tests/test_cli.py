@@ -8,8 +8,10 @@ numpy recomputed oracles, and the advertised exit codes (0 ok,
 import numpy as np
 import pytest
 
+import compc.mpc
+import compc.subroutines
 from compc import cli
-from compc.errors import ProtocolAbort
+from compc.errors import DecodingFailure, InconsistentShares, ProtocolAbort
 from compc.gf import FMatrix
 from compc.mpc import ProgramOp
 
@@ -172,6 +174,27 @@ class TestRunCommand:
                        "--out", str(out))
         assert code == 3
         assert "abort=ProtocolAbort" in out.read_text()
+
+    @pytest.mark.parametrize("where,exc", [
+        ("subroutines.decode", DecodingFailure),
+        ("mpc.robust_reconstruct", InconsistentShares)])
+    def test_failure_inside_a_run_maps_to_exit_3(self, where, exc, tmp_path,
+                                                 monkeypatch, capsys):
+        # a decoder that gives up mid-run is a protocol abort, with a
+        # record line, not a configuration error
+        module, name = where.split(".")
+
+        def boom(*args, **kwargs):
+            raise exc("beyond the budget")
+        monkeypatch.setattr(getattr(compc, module), name, boom)
+        out = tmp_path / "df"
+        code = run_cli("run", "--scenario", fixture("threshold.scn"),
+                       "--out", str(out))
+        assert code == 3
+        want = (f"correct=false abort={exc.__name__} eliminations=- "
+                "master=-")
+        assert want in out.read_text()
+        assert want in capsys.readouterr().out
 
     def test_same_seed_same_bytes(self, tmp_path):
         outs = []

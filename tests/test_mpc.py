@@ -16,9 +16,9 @@ from compc.errors import DegreeMismatch, ParameterViolation, TooFewSurvivors
 from compc.gf import FMatrix, mat_mul
 from compc.mpc import (MaskSet, ProgramOp, SharedMatrix, add_shares,
                        build_masks, direct_to_reverse, execute,
-                       masked_product, multiply_malicious,
+                       mask_groups, masked_product, multiply_malicious,
                        multiply_semi_honest, recovery_threshold,
-                       reverse_to_direct, run_program, transpose_shares)
+                       reverse_to_direct, transpose_shares)
 from compc.net import AdversaryController, Network, Scenario, Transcript
 from compc.poly import MatPoly, coeff_extraction_combo
 from compc.sharing import (DIRECT, REVERSE, Share, ShareLabel,
@@ -424,6 +424,30 @@ def test_reveal_names_corrected_senders():
     assert named
 
 
+@pytest.mark.parametrize("m,t", [(1, 1), (1, 3), (2, 1), (2, 3), (2, 4),
+                                 (3, 4), (2, 8)])
+def test_mask_groups_keep_the_masked_sum(m, t):
+    # groups of at most 2m-1 masks, one polynomial of degree at most
+    # min(2m-1, m+t-1) + t - 1 each, with the same sum_l x^(m+l) O_l
+    p = 97
+    rng = np.random.default_rng(10 * m + t)
+    masks = MaskSet(tuple(MatPoly(rng.integers(0, p, size=(t + 1, 2, 3)), p)
+                          for _ in range(m + t - 1)))
+    groups = mask_groups(masks, m)
+    size = min(2 * m - 1, m + t - 1)
+    assert [a for a, _ in groups] == list(range(0, m + t - 1, 2 * m - 1))
+    assert all(poly.degree <= size + t - 1 for _, poly in groups)
+    want = MatPoly.zero(2, 3, p)
+    for l, o in enumerate(masks.o_polys):
+        want = want + o.shift(m + l)
+    got = MatPoly.zero(2, 3, p)
+    for a, poly in groups:
+        got = got + poly.shift(m + a)
+    assert got == want
+    if m == 1:
+        assert [poly for _, poly in groups] == list(masks.o_polys)
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_honest_multiply_round_count(m):
     # SHARE/SHARE/MUL/REVEAL: 19 + 3m rounds. The m + 1 re-sharing
@@ -524,17 +548,6 @@ def test_execute_is_deterministic():
         return execute(s).serialize()
 
     assert once() == once()
-
-
-def test_run_program_wrapper():
-    p = 13
-    rng = np.random.default_rng(36)
-    x = rng.integers(0, p, size=(2, 2))
-    base = Scenario(n=4, t=1, m=1, p=p, seed=3, z=2, program=())
-    out = run_program([ProgramOp("share", (0, DIRECT), "x"),
-                       ProgramOp("reveal", ("x",))],
-                      [FMatrix(x, p)], base)
-    assert np.array_equal(out.a, x)
 
 
 def test_execute_rejects_unknown_ops():

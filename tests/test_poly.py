@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from compc.errors import DuplicatePoints, InsufficientPoints, ShapeMismatch
 from compc.gf import FMatrix
-from compc.poly import (BiMatPoly, MatPoly, coeff_extraction_combo,
-                        interpolate, lagrange_coeffs, powers, vandermonde)
+from compc.poly import (MatPoly, coeff_extraction_combo, interpolate,
+                        lagrange_coeffs, powers, vandermonde)
 
 
 def poly_of(coeff_lists, p):
@@ -52,21 +52,6 @@ def test_matrix_coeff_product_uses_matmul():
     prod = a.mul(b)
     assert prod.coeff(0).to_lists() == [[2, 1], [4, 3]]
     assert a.transpose_coeffs().coeff(0).to_lists() == [[1, 3], [2, 4]]
-
-
-def test_bivariate_slices():
-    p = 7
-    # S(x, y) = 1 + 2y + 3x + 4xy
-    s = BiMatPoly(np.array([[[[1]], [[2]]], [[[3]], [[4]]]]), p)
-    f2 = s.fix_y(2)              # S(x, 2) = 5 + 11x = 5 + 4x
-    assert f2.c[:, 0, 0].tolist() == [5, 4]
-    g2 = s.fix_x(2)              # S(2, y) = 7 + 10y = 3y
-    assert g2.c[:, 0, 0].tolist() == [0, 3]
-    assert s.eval(2, 2).to_lists() == [[6]]
-    # cross-point identity f_i(a_j) == g_j(a_i) for shared S
-    for i in range(1, 5):
-        for j in range(1, 5):
-            assert s.fix_y(i).eval(j) == s.fix_x(j).eval(i)
 
 
 def test_lagrange_examples():

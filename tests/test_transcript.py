@@ -135,12 +135,12 @@ def test_views_use_the_transcript_line_format():
         assert view_of(tr, subset).messages == "\n".join(lines).encode()
 
 
-# pinned when the re-sharing families of one protocol step began to
-# share their syndrome, gap-parity and recombination broadcasts; the
-# revealed product is unchanged
+# pinned when each worker began to deal its product masks as one
+# polynomial per group of at most 2m-1; the revealed product is
+# unchanged
 GOLDEN_SHA256 = \
-    "f72f66261026c904de26f3f99aa1fe6b9329edab8863a60fd249cbed20fb17ca"
-GOLDEN_BYTES = 161_410
+    "90b1e620ee4664bea75e6c282c4c57dc0a9e2e3e9e0e62692046c4c26af2b9a3"
+GOLDEN_BYTES = 138_364
 GOLDEN_MASTER = \
     "master=3edcae1b918b307a83c73e58a80a32009361f6ec7f87f8c944a5813d020038fd"
 
