@@ -25,9 +25,11 @@ checks the product relation at its own point. The check only uses
 sum_l x^(m+l) O_l, so a worker deals its m+t-1 masks as
 G = ceil((m+t-1)/(2m-1)) polynomials of degree
 D = min(2m-1, m+t-1) + t - 1, one per group of at most 2m-1 masks (at
-m = 1 one per mask, of degree t). A complaint is settled by publicly
-evaluating everything the accused dealt at the complainer's point, in
-one call: same-shaped re-sharings share an EVSS batch and every value
+m = 1 one per mask, of degree t); a partial group comes first, which
+keeps every sum_k x^(m+a_k) M_k an EVSS dealer can deal within the
+product's degree 2m+2t-2 (mask_layout). A complaint is settled by
+publicly evaluating everything the accused dealt at the complainer's
+point, in one call: same-shaped re-sharings share an EVSS batch and every value
 is recombined in one broadcast, 3g + 2 rounds for g distinct value
 shapes (1 at m = 1, 2 otherwise). The group cap keeps D <= 2m+t-2,
 the largest degree that evaluation decodes with t errors among
@@ -129,21 +131,44 @@ def build_masks(a_n, b_n, m, t, rng):
     return MaskSet(tuple(MatPoly(o[l], p) for l in range(count)))
 
 
+def mask_layout(m, t):
+    """(starts, size) of the grouped mask deal.
+
+    The m+t-1 masks form G = ceil((m+t-1)/(2m-1)) groups of at most
+    size = min(2m-1, m+t-1) masks, each dealt under a label of degree
+    D = size + t - 1. Group 0 starts at mask 0 and takes the remainder
+    r = (m+t-1) - (G-1)(2m-1); group k >= 1 starts at r + (k-1)(2m-1).
+    Every group then satisfies a_k + size <= m+t-1, which is
+    m + a_k + D <= 2m+2t-2: x^(m+a_k) M_k stays within the product's
+    degree for any M_k of degree D that EVSS accepts, and the product
+    relation holding at 2m+2t-1 honest points is an identity. A partial
+    group on top would break this: at m=2, t=3 it would start at mask
+    3 and reach degree 10 > 8. At t = 0 the masks are identically zero
+    and nothing is dealt.
+    """
+    count = m + t - 1
+    if not t:
+        return [], 0
+    size = min(2 * m - 1, count)
+    rest = count - (-(-count // size) - 1) * size
+    return [0] + list(range(rest, count, size)), size
+
+
 def mask_groups(masks, m):
-    """The masks as one polynomial per group of at most 2m-1.
+    """The masks as one polynomial per group of mask_layout.
 
     Returns [(a_k, M_k)] with M_k(x) = sum_l x^(l-a_k) O_l(x) over the
-    masks a_k .. a_k+2m-2, so that sum_l x^(m+l) O_l equals
+    masks of group k, so that sum_l x^(m+l) O_l equals
     sum_k x^(m+a_k) M_k. Each M_k has degree at most
     min(2m-1, m+t-1) + t - 1, which a settlement's public evaluation
     can still decode with t errors among 3t+2m-1 points.
     """
-    size = 2 * m - 1
+    polys = masks.o_polys
+    starts, _ = mask_layout(m, len(polys) - m + 1)
     out = []
-    for a in range(0, len(masks.o_polys), size):
-        group = masks.o_polys[a:a + size]
-        poly = group[0]
-        for i, o in enumerate(group[1:], 1):
+    for a, b in zip(starts, starts[1:] + [len(polys)]):
+        poly = polys[a]
+        for i, o in enumerate(polys[a + 1:b], 1):
             poly = poly + o.shift(i)
         out.append((a, poly))
     return out
@@ -239,8 +264,8 @@ def multiply_malicious(network, adv, scenario, prefix, active, sa, sb):
     under one (m, t). Worker points are re-shared and verified (left
     value with gap m-1, right row piece j with gap m-1-j), every
     worker deals its masks, one polynomial M_k per group of at most
-    2m-1 (mask_groups), and its masked product polynomial through the
-    consistency layer, and the product relation
+    2m-1 (mask_layout, mask_groups), and its masked product polynomial
+    through the consistency layer, and the product relation
     C_n = a_n b_n^T - sum_k x^(m+a_k) M_k is checked at every point.
     All mask groups share one label of degree
     D = min(2m-1, m+t-1) + t - 1 in one batch on <prefix>:o (instance
@@ -290,14 +315,13 @@ def multiply_malicious(network, adv, scenario, prefix, active, sa, sb):
                 for n in dealers}
     cpoly = {n: masked_product(qa[n], qb[n], masksets[n], m) for n in dealers}
 
-    # mask deals, one polynomial per group of at most 2m-1 masks (group
-    # k starts at mask starts[k]); at t = 0 the masks are identically
-    # zero, skip them
-    starts = list(range(0, dmax, 2 * m - 1)) if t else []
-    o_deg = min(2 * m - 1, dmax) + t - 1
+    # mask deals, one polynomial per group of mask_layout (group k
+    # starts at mask starts[k]); none at t = 0
+    starts, size = mask_layout(m, t)
+    o_deg = size + t - 1
     o_shares = {}
     if starts:
-        olab = ShareLabel(min(2 * m - 1, dmax), t, 0)
+        olab = ShareLabel(size, t, 0)
         groups = {n: mask_groups(masksets[n], m) for n in dealers}
         tags = [(n, k) for n in dealers for k in range(len(starts))]
         instances = [

@@ -25,7 +25,8 @@ from compc.audit import (LEAK_PRODUCT, LEAK_SOURCE, AuditTemplate, DistTable,
 from compc.errors import ParameterViolation, SpaceTooLarge
 from compc.evss import evss_deal_poly
 from compc.gf import DEFAULT_PRIME, FMatrix, mat_mul, rref
-from compc.mpc import ProgramOp, build_masks, mask_groups, masked_product
+from compc.mpc import (ProgramOp, build_masks, mask_groups, mask_layout,
+                       masked_product)
 from compc.net import (BCAST, PRIV, AdversaryController, Envelope, Network,
                        Scenario, Transcript)
 from compc.poly import MatPoly
@@ -494,8 +495,7 @@ def mask_view(m, t, p, tops, draws, leak):
                   p)
     own = np.zeros(count * t, dtype=np.int64) if leak else draws[:count * t]
     groups = mask_groups(build_masks(a_n, b_n, m, t, ScriptedRng(own)), m)
-    size = min(2 * m - 1, count)
-    lab = ShareLabel(size, t)
+    lab = ShareLabel(mask_layout(m, t)[1], t)
     d1 = lab.degree + 1
     rest = draws[count * t:]
     per = d1 * (d1 - 1)
@@ -511,10 +511,10 @@ def mask_view(m, t, p, tops, draws, leak):
 
 
 def mask_draw_count(m, t):
-    count = m + t - 1
-    groups = -(-count // (2 * m - 1))
-    d1 = min(2 * m - 1, count) + t
-    return count * t + groups * d1 * (d1 - 1), groups * 2 * d1
+    starts, size = mask_layout(m, t)
+    d1 = size + t
+    return ((m + t - 1) * t + len(starts) * d1 * (d1 - 1),
+            len(starts) * 2 * d1)
 
 
 @lru_cache(maxsize=None)

@@ -16,11 +16,13 @@ from compc.errors import DegreeMismatch, ParameterViolation, TooFewSurvivors
 from compc.gf import FMatrix, mat_mul
 from compc.mpc import (MaskSet, ProgramOp, SharedMatrix, add_shares,
                        build_masks, direct_to_reverse, execute,
-                       mask_groups, masked_product, multiply_malicious,
-                       multiply_semi_honest, recovery_threshold,
+                       mask_groups, mask_layout, masked_product,
+                       multiply_malicious, multiply_semi_honest,
+                       recovery_threshold,
                        reverse_to_direct, transpose_shares)
-from compc.net import AdversaryController, Network, Scenario, Transcript
-from compc.poly import MatPoly, coeff_extraction_combo
+from compc.net import (AdversaryController, Network, Scenario, Strategy,
+                       Transcript)
+from compc.poly import MatPoly, coeff_extraction_combo, interpolate
 from compc.sharing import (DIRECT, REVERSE, Share, ShareLabel,
                            make_share_poly, reconstruct, robust_reconstruct)
 from compc.subroutines import (BAD_GAP, BAD_PRODUCT, BAD_SUBSHARE,
@@ -428,15 +430,22 @@ def test_reveal_names_corrected_senders():
                                  (3, 4), (2, 8)])
 def test_mask_groups_keep_the_masked_sum(m, t):
     # groups of at most 2m-1 masks, one polynomial of degree at most
-    # min(2m-1, m+t-1) + t - 1 each, with the same sum_l x^(m+l) O_l
+    # D = min(2m-1, m+t-1) + t - 1 each, with the same sum_l x^(m+l) O_l;
+    # every x^(m+a_k) M_k of degree D stays within degree 2m+2t-2
     p = 97
     rng = np.random.default_rng(10 * m + t)
+    count = m + t - 1
     masks = MaskSet(tuple(MatPoly(rng.integers(0, p, size=(t + 1, 2, 3)), p)
-                          for _ in range(m + t - 1)))
+                          for _ in range(count)))
+    starts, size = mask_layout(m, t)
+    d = size + t - 1
     groups = mask_groups(masks, m)
-    size = min(2 * m - 1, m + t - 1)
-    assert [a for a, _ in groups] == list(range(0, m + t - 1, 2 * m - 1))
-    assert all(poly.degree <= size + t - 1 for _, poly in groups)
+    assert [a for a, _ in groups] == starts
+    assert len(starts) == -(-count // (2 * m - 1)) and size <= 2 * m - 1
+    assert starts[0] == 0 and all(
+        b - a == size for a, b in zip(starts[1:], starts[2:] + [count]))
+    assert all(m + a + d <= 2 * m + 2 * t - 2 for a in starts)
+    assert all(poly.degree <= d for _, poly in groups)
     want = MatPoly.zero(2, 3, p)
     for l, o in enumerate(masks.o_polys):
         want = want + o.shift(m + l)
@@ -446,6 +455,102 @@ def test_mask_groups_keep_the_masked_sum(m, t):
     assert got == want
     if m == 1:
         assert [poly for _, poly in groups] == list(masks.o_polys)
+
+
+def test_mask_layout_deals_nothing_without_masks():
+    assert mask_layout(2, 0) == ([], 0)
+    assert mask_layout(1, 0) == ([], 0)
+
+
+class InterpolatingDealer(Strategy):
+    """Coalition member; the member `shared["cheat"]` deals a product
+    polynomial shifted by delta x^(m-1) and mask groups shifted by
+    polynomials dM_k of the label's degree D, chosen so that
+    sum_k x^(a_k) dM_k = -delta / x at as many honest points as that sum's
+    degree allows. Where it matches, the shifted relation holds at an
+    honest point; colluders never complain about the coalition.
+    """
+
+    DELTA = 1
+
+    def _offsets(self, ctx):
+        s = ctx["scenario"]
+        m, t, p = s.m, s.t, s.p
+        starts, size = mask_layout(m, t)
+        d = size + t - 1
+        honest = [j for j in s.workers if j not in self.shared["coalition"]]
+        pts = honest[:starts[-1] + d + 1]
+        vals = [np.array([[-self.DELTA * pow(j, p - 2, p) % p]]) for j in pts]
+        q = interpolate(pts, vals, p).c[:, 0, 0]
+        groups = [[0] * (d + 1) for _ in starts]
+        for e, c in enumerate(q):
+            k = max(k for k, a in enumerate(starts) if a <= e)
+            groups[k][e - starts[k]] = int(c)
+        out = {}
+        for iid, meta in ctx["instances"].items():
+            if meta["dealer"] != self.party:
+                continue
+            if meta["kind"] == "cdeal":
+                out[iid] = [0] * (m - 1) + [self.DELTA]
+            elif meta["kind"] == "odeal":
+                out[iid] = groups[int(iid.split("x")[1])]
+        return out
+
+    def act(self, ctx, outbox):
+        phase = ctx["phase"]
+        if phase.endswith("mul:check"):
+            coalition = self.shared["coalition"]
+            return [s for s in outbox if s[2][1] not in coalition]
+        if self.party != self.shared["cheat"] or not phase.endswith(":deal"):
+            return outbox
+        offsets = self._offsets(ctx)
+        if not offsets:
+            return outbox
+        p = ctx["scenario"].p
+
+        def shift(iids, fs, gs, alpha):
+            fs, gs = fs.copy(), gs.copy()
+            for k, iid in enumerate(iids):
+                for e, c in enumerate(offsets.get(iid, ())):
+                    fs[k][0] = (fs[k][0] + c * pow(alpha, e, p)) % p
+                    gs[k][e] = (gs[k][e] + c) % p
+            return fs, gs
+
+        out = []
+        for channel, recipient, payload in outbox:
+            tag, iids, fs, gs = payload
+            out.append((channel, recipient,
+                        (tag, iids) + shift(iids, fs, gs, recipient)))
+        own = ctx["own_state"]
+        for iid in offsets:
+            fs, gs = shift((iid,), own[iid][0][None], own[iid][1][None],
+                           self.party)
+            own[iid] = (fs[0], gs[0])
+        return out
+
+
+def test_grouped_masks_catch_an_interpolating_dealer():
+    # (m,t) = (2,3) has two mask groups, one partial. Dealer 1 shifts
+    # its product polynomial and cancels the shift through its mask
+    # groups at as many honest points as their degrees allow; parties 2
+    # and 3 stay quiet. With the partial group at the top the masked sum
+    # would reach degree 8 and match all 9 honest points, and a wrong
+    # product would be revealed; with it at the bottom it reaches degree
+    # 6, honest points complain and the settlement eliminates the dealer.
+    m, t = 2, 3
+    s, net, adv, active, _ = mul_setup(
+        m, t, seed=3, adversaries=[(i, "SemiHonest") for i in (1, 2, 3)])
+    adv.shared["cheat"] = 1
+    for party in adv.strategies:
+        adv.strategies[party] = InterpolatingDealer(party, None, adv.shared)
+    rng = np.random.default_rng(23)
+    a = rand_fm(rng, s.z, s.z, s.p)
+    b = rand_fm(rng, s.z, s.z, s.p)
+    sa = shared_value(a, ShareLabel(m, t, 0, DIRECT), s.n, rng)
+    sb = shared_value(b, ShareLabel(m, t, 0, REVERSE), s.n, rng)
+    out, active = multiply_malicious(net, adv, s, "mul", active, sa, sb)
+    assert np.array_equal(open_shared(out, s.p, t).a, direct_product(a, b))
+    assert active.eliminated == {1: BAD_PRODUCT}
 
 
 @pytest.mark.parametrize("m", [2, 3])
