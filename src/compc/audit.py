@@ -40,6 +40,7 @@ import numpy as np
 from .errors import ParameterViolation, SpaceTooLarge
 from .gf import check_prime
 from .net import BCAST, Scenario, run_scenario, write_envelope
+from .poly import horner
 
 STATE_LIMIT = 1 << 24
 _CHUNK = 1 << 18
@@ -181,14 +182,12 @@ def _sharing_rows(template, secret, members, draws):
     r, w = template.rows, template.cols // template.m
     if template.leak == LEAK_SOURCE:
         draws = np.zeros_like(draws)
-    blocks = [b.a for b in secret.block_split(m)]
+    blocks = np.stack([b.a for b in secret.block_split(m)])
     cols, labels = [], []
     for j in members:
         if j == 0:
             continue
-        base = np.zeros((r, w), dtype=np.int64)
-        for k, blk in enumerate(blocks):
-            base = (base + pow(j, k, p) * blk) % p
+        base = horner(blocks, [j], p)[0]
         share = np.broadcast_to(base.reshape(1, r * w),
                                 (draws.shape[0], r * w)).copy()
         for q in range(t):

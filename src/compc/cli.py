@@ -20,8 +20,7 @@ import hashlib
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -319,23 +318,10 @@ def _sweep_cell(cell, base_seed):
             f"wall_ms={wall_ms:.1f}")
 
 
-def _thread_count():
-    raw = os.environ.get("COMPC_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError as exc:
-            raise ConfigError(f"bad COMPC_THREADS value {raw!r}") from exc
-    return min(8, os.cpu_count() or 1)
-
-
 def cmd_sweep(config):
     cells = _parse_sweep_grid(config.grid)
     base_seed = config.seed if config.seed is not None else 0
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        futures = [pool.submit(_sweep_cell, cell, base_seed) for cell in cells]
-        lines = [f.result() for f in futures]
-    _emit(lines, config.out)
+    _emit([_sweep_cell(cell, base_seed) for cell in cells], config.out)
     return OK
 
 
@@ -412,40 +398,6 @@ def cmd_audit(config):
     return LEAKY if leaky_any else OK
 
 
-def cmd_bench(config):
-    m = config.m if config.m is not None else 2
-    t = config.t if config.t is not None else 1
-    p = config.prime if config.prime is not None else DEFAULT_PRIME
-    seed = config.seed if config.seed is not None else 0
-    n = config.n if config.n is not None else recovery_threshold(m, t)
-    z = m
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    a, b = FMatrix.random(z, z, p, rng), FMatrix.random(z, z, p, rng)
-    program = (ProgramOp("share", (0, "direct"), "ra"),
-               ProgramOp("share", (1, "reverse"), "rb"),
-               ProgramOp("mul", ("ra", "rb"), "rc"),
-               ProgramOp("reveal", ("rc",)))
-    scenario = Scenario(n=n, t=t, m=m, p=p, seed=seed, z=z,
-                        program=program, inputs=(a, b))
-    reps = 3
-    lines = []
-    start = time.perf_counter()
-    for i in range(reps):
-        run_scenario(replace(scenario, seed=seed + i))
-    full = (time.perf_counter() - start) * 1000 / reps
-    start = time.perf_counter()
-    for i in range(reps):
-        multiply_semi_honest(a, b, m, t, n,
-                             np.random.Generator(np.random.Philox(key=i)))
-    semi = (time.perf_counter() - start) * 1000 / reps
-    lines.append(f"record=bench op=multiply-verified m={m} t={t} n={n} "
-                 f"reps={reps} avg_ms={full:.1f}")
-    lines.append(f"record=bench op=multiply-semi-honest m={m} t={t} n={n} "
-                 f"reps={reps} avg_ms={semi:.1f}")
-    _emit(lines, config.out)
-    return OK
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="compc",
@@ -455,7 +407,6 @@ def build_parser():
         "run": "execute one scenario file and judge the output",
         "sweep": "grid of (m, t, strategy) cells at N = 3t+2m-1",
         "audit": "exact and sampled leakage audits",
-        "bench": "wall-time of one multiplication setup",
     }
     for name, help_text in specs.items():
         cmd = sub.add_parser(name, help=help_text)
@@ -483,7 +434,7 @@ def main(argv=None):
                        strategy=args.strategy, grid=args.grid,
                        samples=args.samples)
     handler = {"run": cmd_run, "sweep": cmd_sweep,
-               "audit": cmd_audit, "bench": cmd_bench}[config.subcommand]
+               "audit": cmd_audit}[config.subcommand]
     try:
         return handler(config)
     except (ConfigError, ParameterViolation) as exc:

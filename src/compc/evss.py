@@ -24,18 +24,20 @@ Vote rules:
 If nobody complains, everyone accepts immediately and the resolve and
 vote rounds carry no messages.
 
-Two drivers share these decision rules: a per-party state machine
-(EvssParty / evss_round / evss_finalize) and a batch runner
-(run_evss_batch) that executes many same-shaped instances over the
-simulated network in the same five conceptual rounds, with the
-all-pairs checks vectorized across instances.
+One driver, run_evss_batch, applies these rules: it executes many
+same-shaped instances over the simulated network in five rounds, with
+the all-pairs checks vectorized across instances, and calls
+complaints_for, reveals_for and vote_for where a party must decide.
+The test suite keeps a per-party state machine over the same rules
+(tests/evss_machine.py) as the reference the batch runner is checked
+against.
 
 Per-instance parameter bounds are not enforced here; the scenario-wide
 recovery threshold admitted at configuration time covers every label
 this package deals.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -43,7 +45,7 @@ import numpy as np
 from .errors import ParameterViolation
 from .gf import is_field_array
 from .net import BCAST, PRIV
-from .poly import powers
+from .poly import horner
 from .sharing import make_share_poly
 
 
@@ -62,28 +64,11 @@ class EvssDeal:
         return self.grid.shape[2:]
 
     def polys_for(self, alpha):
-        """(f coeffs, g coeffs) for the party at `alpha`."""
-        w = powers(alpha, self.d1, self.p)
-        fc = _weighted_axis(self.grid, w, 1, self.p)
-        gc = _weighted_axis(self.grid, w, 0, self.p)
+        """(f coeffs, g coeffs) for the party at `alpha`:
+        f(x) = S(x, alpha) and g(y) = S(alpha, y)."""
+        fc, gc = horner(np.stack([np.moveaxis(self.grid, 1, 0), self.grid],
+                                 axis=1), [alpha], self.p)[0]
         return fc, gc
-
-
-def _weighted_axis(a, w, axis, p):
-    """sum(a * w) along one axis with per-term reduction."""
-    a = np.moveaxis(a, axis, 0)
-    acc = np.zeros(a.shape[1:], dtype=np.int64)
-    for i in range(a.shape[0]):
-        acc = (acc + a[i] * int(w[i])) % p
-    return acc
-
-
-def _poly_at(coeffs, x, p):
-    """Horner evaluation of stacked coefficients (d+1, rows, cols)."""
-    acc = np.zeros(coeffs.shape[1:], dtype=np.int64)
-    for d in range(coeffs.shape[0] - 1, -1, -1):
-        acc = (acc * x + coeffs[d]) % p
-    return acc
 
 
 def evss_deal_poly(q, label, rng):
@@ -104,18 +89,6 @@ def evss_deal(w, label, rng):
     return evss_deal_poly(make_share_poly(w, label, rng), label, rng)
 
 
-class EvssMsg(NamedTuple):
-    kind: str       # deal | cross | complain | reveal | vote
-    sender: int
-    channel: str    # PRIV or BCAST
-    body: tuple
-
-
-class EvssVerdict(NamedTuple):
-    accepted: bool
-    share: object   # ndarray f_i(0) when accepted and held, else None
-
-
 def _well_formed(pair, d1, shape, p):
     if not isinstance(pair, tuple) or len(pair) != 2:
         return False
@@ -132,11 +105,9 @@ def complaints_for(party, polys, cross_in, others, p):
     cross points. Returns [("self",)] or [("pair", j, u, v), ...]."""
     if polys is None:
         return [("self",)]
-    fc, gc = polys
+    js = sorted(others)
     out = []
-    for j in sorted(others):
-        own_u = _poly_at(fc, j, p)
-        own_v = _poly_at(gc, j, p)
+    for j, (own_u, own_v) in zip(js, horner(np.stack(polys, axis=1), js, p)):
         got = cross_in.get(j)
         ok = (got is not None
               and _values_eq(got[0], own_v)    # f_j(a_i) = g_i(a_j)
@@ -155,20 +126,14 @@ def reveals_for(deal, complaints, workers):
     for i in sorted(complaints):
         if i not in workers:
             continue
-        fc, gc = pair = deal.polys_for(i)
-        for item in complaints[i]:
-            if item[0] == "self":
-                wrong = True
-            elif item[0] == "pair":
-                # f_i(a_j) = S(a_j, a_i) and g_i(a_j) = S(a_i, a_j)
-                _, j, u, v = item
-                wrong = not (_values_eq(u, _poly_at(fc, j, deal.p))
-                             and _values_eq(v, _poly_at(gc, j, deal.p)))
-            else:
-                continue
-            if wrong:
-                out[i] = pair
-                break
+        pair = deal.polys_for(i)
+        claims = [item for item in complaints[i] if item[0] == "pair"]
+        # own[x] = (f_i(a_j), g_i(a_j)) = (S(a_j, a_i), S(a_i, a_j))
+        own = horner(np.stack(pair, axis=1), [c[1] for c in claims], deal.p)
+        if any(item[0] == "self" for item in complaints[i]) or not all(
+                _values_eq(u, f) and _values_eq(v, g)
+                for (_, _, u, v), (f, g) in zip(claims, own)):
+            out[i] = pair
     return out
 
 
@@ -190,8 +155,8 @@ def vote_for(party, polys, cross_in, complaints, reveals, d1, shape, p):
             for j, got in cross_in.items():
                 if got is None:
                     continue
-                if not (_values_eq(got[0], _poly_at(gc, j, p))
-                        and _values_eq(got[1], _poly_at(fc, j, p))):
+                if not (_values_eq(got[0], horner(gc, [j], p)[0])
+                        and _values_eq(got[1], horner(fc, [j], p)[0])):
                     vote = False
                     break
 
@@ -223,151 +188,12 @@ def vote_for(party, polys, cross_in, complaints, reveals, d1, shape, p):
             vote = False
             continue
         rf, rg = pair
-        if not (_values_eq(_poly_at(rf, party, p), _poly_at(gc, k, p))
-                and _values_eq(_poly_at(rg, party, p), _poly_at(fc, k, p))):
+        if not (_values_eq(horner(rf, [party], p)[0], horner(gc, [k], p)[0])
+                and _values_eq(horner(rg, [party], p)[0],
+                               horner(fc, [k], p)[0])):
             vote = False
 
     return vote, polys
-
-
-@dataclass
-class EvssParty:
-    """One party's state across the protocol rounds.
-
-    `t` is the adversary budget, not the label's mask count. A dealer
-    outside 1..n (an input source) deals and resolves complaints but
-    holds no share and casts no vote.
-
-    Message bodies: deal (recipient, fc, gc); cross (recipient, u, v);
-    complain (complaint items); reveal ((who, fc, gc), ...);
-    vote (bit,).
-    """
-    party: int
-    dealer: int
-    n: int
-    t: int
-    label: object
-    shape: tuple
-    p: int
-    deal: EvssDeal = None       # dealer side only
-    phase: str = "deal"
-    polys: tuple = None
-    cross_in: dict = field(default_factory=dict)
-    complaints: dict = field(default_factory=dict)
-    reveals: dict = field(default_factory=dict)
-    votes: dict = field(default_factory=dict)
-
-    @property
-    def workers(self):
-        return tuple(range(1, self.n + 1))
-
-    @property
-    def others(self):
-        return tuple(j for j in self.workers if j != self.party)
-
-    @property
-    def d1(self):
-        return self.label.degree + 1
-
-
-def evss_round(state, inbox):
-    """Advance one round; returns (state, outbox of EvssMsg)."""
-    out = []
-    p = state.p
-    if state.phase == "deal":
-        if state.party == state.dealer:
-            if state.party in state.workers:
-                state.polys = state.deal.polys_for(state.party)
-            for j in state.workers:
-                if j != state.party:
-                    out.append(EvssMsg("deal", state.party, PRIV,
-                                       (j,) + state.deal.polys_for(j)))
-        state.phase = "cross"
-        return state, out
-
-    if state.phase == "cross":
-        for msg in inbox:
-            if msg.kind == "deal" and msg.sender == state.dealer \
-                    and state.polys is None:
-                pair = (msg.body[1], msg.body[2])
-                if _well_formed(pair, state.d1, state.shape, p):
-                    state.polys = pair
-        if state.polys is not None:
-            fc, gc = state.polys
-            for j in state.others:
-                out.append(EvssMsg("cross", state.party, PRIV,
-                                   (j, _poly_at(fc, j, p),
-                                    _poly_at(gc, j, p))))
-        state.phase = "complain"
-        return state, out
-
-    if state.phase == "complain":
-        for msg in inbox:
-            if msg.kind == "cross" and msg.sender in state.others \
-                    and msg.sender not in state.cross_in:
-                state.cross_in[msg.sender] = (msg.body[1], msg.body[2])
-        if state.party in state.workers:
-            items = complaints_for(state.party, state.polys, state.cross_in,
-                                   state.others, p)
-            if items:
-                out.append(EvssMsg("complain", state.party, BCAST,
-                                   tuple(items)))
-        state.phase = "resolve"
-        return state, out
-
-    if state.phase == "resolve":
-        for msg in inbox:
-            if msg.kind == "complain" and msg.sender in state.workers \
-                    and msg.sender not in state.complaints:
-                state.complaints[msg.sender] = list(msg.body)
-        if state.party == state.dealer and state.complaints:
-            ans = reveals_for(state.deal, state.complaints,
-                              set(state.workers))
-            if ans:
-                out.append(EvssMsg("reveal", state.party, BCAST,
-                                   tuple((i,) + pair
-                                         for i, pair in sorted(ans.items()))))
-        state.phase = "vote"
-        return state, out
-
-    if state.phase == "vote":
-        for msg in inbox:
-            if msg.kind == "reveal" and msg.sender == state.dealer:
-                for item in msg.body:
-                    if isinstance(item, tuple) and len(item) == 3 \
-                            and item[0] not in state.reveals:
-                        state.reveals[item[0]] = (item[1], item[2])
-        if state.complaints:
-            vote, adopted = vote_for(
-                state.party, state.polys, state.cross_in, state.complaints,
-                state.reveals, state.d1, state.shape, p)
-            state.polys = adopted
-            if state.party in state.workers:
-                out.append(EvssMsg("vote", state.party, BCAST, (int(vote),)))
-        state.phase = "tally"
-        return state, out
-
-    if state.phase == "tally":
-        for msg in inbox:
-            if msg.kind == "vote" and msg.sender in state.workers \
-                    and msg.sender not in state.votes:
-                state.votes[msg.sender] = bool(msg.body[0])
-        state.phase = "done"
-        return state, []
-
-    return state, []
-
-
-def evss_finalize(state):
-    """Verdict after all rounds; accepted on silence or N-t votes."""
-    if not state.complaints:
-        accepted = True
-    else:
-        accepted = sum(state.votes.values()) >= state.n - state.t
-    share = None
-    if accepted and state.polys is not None:
-        share = state.polys[0][0]
-    return EvssVerdict(accepted, share)
 
 
 # ---------------------------------------------------------------------------
@@ -385,35 +211,6 @@ class EvssOutcome(NamedTuple):
     accepted: bool
     shares: dict    # worker -> ndarray f_i(0), or None
     g: dict         # worker -> (d+1, rows, cols) coeffs of g_i, or None
-
-
-def _grid_polys(grids, alphas, p):
-    """All parties' pairs for stacked grids.
-
-    grids (K, d+1, d+1, r, c) -> (FC, GC) each (K, N, d+1, r, c):
-    FC[k, i, a] = sum_b grids[k, a, b] alpha_i^b and GC[k, i, b] the
-    transposed sum, via Horner with a reduction per step.
-    """
-    k, d1 = grids.shape[0], grids.shape[1]
-    tail = grids.shape[3:]
-    a = alphas[None, None, :, None, None]
-    fc = np.zeros((k, d1, len(alphas)) + tail, dtype=np.int64)
-    for b in range(d1 - 1, -1, -1):
-        fc = (fc * a + grids[:, :, b][:, :, None]) % p
-    gc = np.zeros((k, d1, len(alphas)) + tail, dtype=np.int64)
-    for ax in range(d1 - 1, -1, -1):
-        gc = (gc * a + grids[:, ax][:, :, None]) % p
-    return fc.transpose(0, 2, 1, 3, 4), gc.transpose(0, 2, 1, 3, 4)
-
-
-def _eval_stack(coeffs, alphas, p):
-    """Horner over stacked polys: (K, d+1, r, c) x (N,) -> (K, N, r, c)."""
-    k, d1 = coeffs.shape[:2]
-    acc = np.zeros((k, len(alphas)) + coeffs.shape[2:], dtype=np.int64)
-    a = alphas[None, :, None, None]
-    for d in range(d1 - 1, -1, -1):
-        acc = (acc * a + coeffs[:, d][:, None]) % p
-    return acc
 
 
 def _parse_complaint(item, workers, shape):
@@ -448,7 +245,6 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kinds=None):
         if b.deal.d1 != d1 or b.deal.shape != shape:
             raise ParameterViolation("mixed shapes in one batch")
     workers = s.workers
-    alphas = np.array(workers, dtype=np.int64)
     all_iids = tuple(b.iid for b in instances)
     registry = {b.iid: {"dealer": b.dealer, "label": b.label,
                         "kind": (kinds or {}).get(b.iid)}
@@ -466,13 +262,16 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kinds=None):
     outboxes = {}
     for d, insts in sorted(by_dealer.items()):
         iids = tuple(b.iid for b in insts)
-        grids = np.stack([b.deal.grid for b in insts])
-        fcs, gcs = _grid_polys(grids, alphas, p)
+        grids = np.stack([b.deal.grid for b in insts])    # (K, a, b, r, c)
+        # fcs[i, k, a] = sum_b grid_k[a, b] alpha_i^b is f_i's
+        # coefficient a; gcs[i, k, b] = sum_a grid_k[a, b] alpha_i^a
+        fcs = horner(np.moveaxis(grids, 2, 0), workers, p)
+        gcs = horner(np.moveaxis(grids, 1, 0), workers, p)
         if d in workers:
             dx = workers.index(d)
             for k, b in enumerate(insts):
-                states[d][b.iid] = (fcs[k, dx], gcs[k, dx])
-        outboxes[d] = [(PRIV, j, ("evd", iids, fcs[:, jx], gcs[:, jx]))
+                states[d][b.iid] = (fcs[dx, k], gcs[dx, k])
+        outboxes[d] = [(PRIV, j, ("evd", iids, fcs[jx], gcs[jx]))
                        for jx, j in enumerate(workers) if j != d]
     outboxes = adv.filter(ctx(f"{prefix}:deal"), outboxes)
     inboxes = network.exchange(f"{prefix}:deal", outboxes)
@@ -512,12 +311,13 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kinds=None):
         if not held:
             outboxes[i] = []
             continue
-        fc = np.stack([states[i][iid][0] for iid in held])
-        gc = np.stack([states[i][iid][1] for iid in held])
-        u = _eval_stack(fc, alphas, p)     # (K, N, rows, cols)
-        v = _eval_stack(gc, alphas, p)
+        # (d+1, K, rows, cols) -> u[j, k] = f_k(alpha_j), (N, K, rows, cols)
+        u = horner(np.stack([states[i][iid][0] for iid in held], axis=1),
+                   workers, p)
+        v = horner(np.stack([states[i][iid][1] for iid in held], axis=1),
+                   workers, p)
         sent_cross[i] = (held, u, v)
-        outboxes[i] = [(PRIV, j, ("evx", held, u[:, jx], v[:, jx]))
+        outboxes[i] = [(PRIV, j, ("evx", held, u[jx], v[jx]))
                        for jx, j in enumerate(workers) if j != i]
     outboxes = adv.filter(ctx(f"{prefix}:cross"), outboxes)
     inboxes = network.exchange(f"{prefix}:cross", outboxes)
@@ -570,7 +370,7 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kinds=None):
             else:
                 pos, us, vs = got
                 order = [pos[iid] for iid in held]
-                bad = ((us[order] != v[:, jx]) | (vs[order] != u[:, jx])) \
+                bad = ((us[order] != v[jx]) | (vs[order] != u[jx])) \
                     .any(axis=tuple(range(1, us.ndim)))
                 doubted = [held[k] for k in np.flatnonzero(bad)]
             for iid in doubted:

@@ -68,10 +68,6 @@ def fe_inv(a, p):
     return pow(a, p - 2, p)
 
 
-def fe_pow(a, e, p):
-    return pow(a % p, e, p)
-
-
 # -- raw ndarray helpers (internal fast path) ---------------------------
 
 def arr(values, p):
@@ -94,8 +90,10 @@ def is_field_array(a, shape, p):
 def mat_mul(a, b, p):
     """Exact modular matmul via a 16-bit split of the left operand.
 
-    Splitting keeps every accumulated sum below 2**53 for any p < 2**31
-    and inner dimension up to 64, so plain int64 matmul never wraps.
+    Every weighted sum over parties or blocks is one call. For entries
+    in [0, p), p < 2**31 and inner dimension k <= 2**16 = 65 536, the
+    int64 value (hi @ b % p) * 2**16 + lo @ b never wraps: it is at
+    most (p - 1) * (2**16 + k * (2**16 - 1)) <= (p - 1) * 2**32 < 2**63.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
@@ -192,10 +190,6 @@ class FMatrix:
         return cls(np.zeros((rows, cols), dtype=np.int64), p)
 
     @classmethod
-    def identity(cls, n, p):
-        return cls(np.eye(n, dtype=np.int64), p)
-
-    @classmethod
     def random(cls, rows, cols, p, rng):
         return cls(rng.integers(0, p, size=(rows, cols), dtype=np.int64), p)
 
@@ -230,12 +224,6 @@ class FMatrix:
     def __matmul__(self, other):
         self._check(other, "mul")
         return FMatrix(mat_mul(self.a, other.a, self.p), self.p)
-
-    def scalar_mul(self, c):
-        return FMatrix(self.a * (c % self.p) % self.p, self.p)
-
-    def __neg__(self):
-        return FMatrix((-self.a) % self.p, self.p)
 
     @property
     def T(self):
@@ -276,11 +264,3 @@ def hconcat(mats):
         raise DimensionMismatch("row counts or moduli differ")
     return FMatrix(np.concatenate([m.a for m in mats], axis=1), p)
 
-
-def vconcat(mats):
-    if not mats:
-        raise DimensionMismatch("nothing to concatenate")
-    p = mats[0].p
-    if any(m.p != p for m in mats) or len({m.cols for m in mats}) != 1:
-        raise DimensionMismatch("column counts or moduli differ")
-    return FMatrix(np.concatenate([m.a for m in mats], axis=0), p)

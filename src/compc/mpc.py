@@ -54,10 +54,10 @@ from .evss import BatchInstance, evss_deal, evss_deal_poly, run_evss_batch
 from .gf import FMatrix, is_field_array, mat_mul
 from .net import (BCAST, PRIV, AdversaryController, Network, Transcript,
                   rng_for)
-from .poly import MatPoly, coeff_extraction_combo, interpolate
+from .poly import MatPoly, coeff_extraction_combo, horner, interpolate
 from .sharing import (DIRECT, REVERSE, Share, ShareLabel, make_share_poly,
                       robust_reconstruct)
-from .subroutines import (BAD_PRODUCT, EVSS_REJECTED, ActiveSet,
+from .subroutines import (BAD_PRODUCT, EVSS_REJECTED, ActiveSet, _padded,
                           _record_eliminations, eval_shared_poly,
                           subshare_of_shares, verify_gap_form)
 
@@ -214,20 +214,12 @@ def multiply_semi_honest(a, b, m, t, n, rng=None):
                 piece, ShareLabel(1, t, m - 1 - j), rng).shift(j)
         cpolys.append(masked_product(qa, qb, build_masks(qa, qb, m, t, rng), m))
     lam = coeff_extraction_combo(points, 2 * m + 2 * t - 2, m - 1, p)
+    # c[ix, jx] = worker ix's product polynomial at point jx
+    c = np.stack([cp.eval_many(points) for cp in cpolys])
+    acc = mat_mul(np.array([lam]), c.reshape(n, -1), p).reshape(n, z, w)
     out_label = ShareLabel(m, t, 0, DIRECT)
-    out = {}
-    for j in points:
-        acc = np.zeros((z, w), dtype=np.int64)
-        for ix in range(n):
-            acc = (acc + lam[ix] * cpolys[ix].eval_raw(j)) % p
-        out[j] = Share(out_label, j, j, FMatrix(acc, p))
-    return out
-
-
-def _padded(values_by_party, roster, zero):
-    """Shares over the roster with missing or discarded entries zeroed."""
-    return {i: zero if values_by_party.get(i) is None else values_by_party[i]
-            for i in roster}
+    return {j: Share(out_label, j, j, FMatrix(acc[jx], p))
+            for jx, j in enumerate(points)}
 
 
 def _points_poly(bundle, honest, p):
@@ -363,9 +355,7 @@ def multiply_malicious(network, adv, scenario, prefix, active, sa, sb):
 
     def relation_at(j, point_values):
         av, pieces, ovals, cv = point_values
-        bv = zero_ww
-        for k in range(m):
-            bv = (bv + pow(j, k, p) * pieces[k]) % p
+        bv = horner(np.stack(pieces), [j], p)[0]
         rhs = mat_mul(av, bv.T, p)
         for a, ov in zip(starts, ovals):
             rhs = (rhs - pow(j, m + a, p) * ov) % p
@@ -442,15 +432,19 @@ def multiply_malicious(network, adv, scenario, prefix, active, sa, sb):
         raise TooFewSurvivors(
             f"{len(confirmed)} usable product dealers below {floor}")
     lam = coeff_extraction_combo(confirmed, 2 * m + 2 * t - 2, m - 1, p)
-    out = {}
-    for j in active.active:
-        acc = np.zeros((z, w), dtype=np.int64)
-        for ix, n in enumerate(confirmed):
-            cv = c_shares[n].get(j)
-            if cv is not None:
-                acc = (acc + lam[ix] * cv) % p
-        out[j] = acc
-    return SharedMatrix(clab, out, z), active
+    live = active.active
+    # c[nx, jx] = confirmed dealer nx's product share at live party jx
+    c = np.array([list(_padded(c_shares[n], live, zero_zw).values())
+                  for n in confirmed])
+    out = mat_mul(np.array([lam]), c.reshape(len(confirmed), -1), p)
+    return SharedMatrix(clab, dict(zip(live, out.reshape(c.shape[1:]))),
+                        z), active
+
+
+def _leg_rows(bundles, live, i):
+    """Party i's values of one leg family, one flat row per live origin."""
+    return np.stack([bundles[o].values[i] for o in live]).reshape(
+        len(live), -1)
 
 
 def _swap_direction(network, adv, scenario, prefix, active, sv, dfrom, dto):
@@ -470,16 +464,14 @@ def _swap_direction(network, adv, scenario, prefix, active, sv, dfrom, dto):
     if len(live) < m + t:
         raise TooFewSurvivors(
             f"{len(live)} survivors cannot rebuild degree {m + t - 1}")
-    lam = [coeff_extraction_combo(live, m + t - 1, k, p) for k in range(m)]
+    # row j extracts input coefficient m-1-j, which leg j carries
+    lam = np.array([coeff_extraction_combo(live, m + t - 1, m - 1 - j, p)
+                    for j in range(m)])
     out = {}
     for i in live:
-        acc = np.zeros((z, w), dtype=np.int64)
-        for j in range(m):
-            g = np.zeros((z, w), dtype=np.int64)
-            for nx, origin in enumerate(live):
-                g = (g + lam[m - 1 - j][nx] * bundles[j][origin].values[i]) % p
-            acc = (acc + pow(i, j, p) * g) % p
-        out[i] = acc
+        g = np.stack([mat_mul(lam[j:j + 1], _leg_rows(bundles[j], live, i), p)
+                      for j in range(m)])
+        out[i] = horner(g.reshape(m, z, w), [i], p)[0]
     return SharedMatrix(out_label, out, sv.z), active
 
 
@@ -519,19 +511,15 @@ def transpose_shares(network, adv, scenario, prefix, active, sv):
     if len(live) < m + t:
         raise TooFewSurvivors(
             f"{len(live)} survivors cannot rebuild degree {m + t - 1}")
-    lam = [coeff_extraction_combo(live, m + t - 1, r, p) for r in range(m)]
+    lam = np.array([coeff_extraction_combo(live, m + t - 1, r, p)
+                    for r in range(m)])
     out = {}
     for i in live:
-        rows = []
-        for r in range(m):
-            accr = np.zeros((w, w), dtype=np.int64)
-            for fam in range(m):
-                g = np.zeros((w, w), dtype=np.int64)
-                for nx, origin in enumerate(live):
-                    g = (g + lam[r][nx] * bundles[fam][origin].values[i]) % p
-                accr = (accr + pow(i, fam, p) * g) % p
-            rows.append(accr)
-        out[i] = np.concatenate(rows, axis=0)
+        # g[fam, r] extracts coefficient r of family fam; output block r
+        # is sum_fam i^fam g[fam, r]
+        g = np.stack([mat_mul(lam, _leg_rows(bundles[fam], live, i), p)
+                      for fam in range(m)])
+        out[i] = horner(g.reshape(m, m * w, w), [i], p)[0]
     return SharedMatrix(lab, out, sv.z), active
 
 

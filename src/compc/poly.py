@@ -3,6 +3,9 @@
 A MatPoly is a univariate polynomial whose coefficients are equally
 shaped matrices over GF(p). Coefficients are stored as one int64 numpy
 array with the degree axis first, trailing zero coefficients trimmed.
+
+horner is the package's one evaluator of polynomials whose
+coefficients are stacked along a leading degree axis.
 """
 
 import numpy as np
@@ -27,6 +30,21 @@ def vandermonde(points, width, p):
     for i, x in enumerate(points):
         v[i] = powers(x, width, p)
     return v
+
+
+def horner(coeffs, xs, p):
+    """Evaluate stacked polynomials at every point of xs.
+
+    coeffs has the degree axis first, shape (d+1, *tail), entries in
+    [0, p); returns (len(xs), *tail) with sum_k coeffs[k] x**k per x,
+    reduced mod p after every step (exact for p < 2**31). Empty coeffs
+    (degree -1) give zeros.
+    """
+    xs = arr(xs, p).reshape((-1,) + (1,) * (coeffs.ndim - 1))
+    acc = np.zeros(xs.shape[:1] + coeffs.shape[1:], dtype=np.int64)
+    for c in coeffs[::-1]:
+        acc = (acc * xs + c) % p
+    return acc
 
 
 def _check_distinct(points, p):
@@ -78,22 +96,9 @@ class MatPoly:
             return FMatrix(self.c[j], self.p)
         return FMatrix(np.zeros(self.shape, dtype=np.int64), self.p)
 
-    def eval(self, x):
-        return FMatrix(self.eval_raw(x), self.p)
-
-    def eval_raw(self, x):
-        acc = np.zeros(self.shape, dtype=np.int64)
-        for d in range(self.c.shape[0] - 1, -1, -1):
-            acc = (acc * (x % self.p) + self.c[d]) % self.p
-        return acc
-
     def eval_many(self, xs):
         """Evaluate at several points; returns (len(xs), rows, cols)."""
-        xs = arr(xs, self.p)
-        acc = np.zeros((len(xs),) + self.shape, dtype=np.int64)
-        for d in range(self.c.shape[0] - 1, -1, -1):
-            acc = (acc * xs[:, None, None] + self.c[d]) % self.p
-        return acc
+        return horner(self.c, xs, self.p)
 
     def _aligned(self, other):
         if self.p != other.p:
@@ -128,9 +133,6 @@ class MatPoly:
                 out[i + j] = (out[i + j] +
                               mat_mul(self.c[i], other.c[j], self.p)) % self.p
         return MatPoly(out, self.p)
-
-    def scale(self, k):
-        return MatPoly(self.c * (k % self.p) % self.p, self.p)
 
     def shift(self, k):
         """Multiply by x**k."""

@@ -43,7 +43,11 @@ class ExponentSet(tuple):
 
 
 class RSCode:
-    """Evaluation code for one exponent set over fixed points."""
+    """Evaluation code for one exponent set over fixed points.
+
+    G has one row per exponent and generates the code; the rows of H
+    span its dual, so w is a codeword iff mat_mul(H, w) is zero.
+    """
 
     def __init__(self, alphas, exps, p):
         alphas = [a % p for a in alphas]
@@ -67,27 +71,6 @@ class RSCode:
     @property
     def n(self):
         return len(self.alphas)
-
-    @property
-    def dim(self):
-        return len(self.exps)
-
-    def encode(self, coeffs):
-        """coeffs: one value per exponent, shape (dim,) or (dim, r, c)."""
-        coeffs = arr(coeffs, self.p)
-        flat = coeffs.reshape(self.dim, -1)
-        word = (self.G.T[:, :, None] * flat[None] % self.p).sum(1) % self.p
-        return word.reshape((self.n,) + coeffs.shape[1:])
-
-    def syndrome(self, word):
-        """word . H^T; zero exactly when word is in the code."""
-        word = arr(word, self.p)
-        flat = word.reshape(self.n, -1)
-        s = (self.H[:, :, None] * flat[None] % self.p).sum(1) % self.p
-        return s.reshape((self.H.shape[0],) + word.shape[1:])
-
-    def is_codeword(self, word):
-        return not self.syndrome(word).any()
 
 
 def build_code(alphas, exps, p):

@@ -146,14 +146,17 @@ def _broadcast_rows(network, adv, scenario, phase, live, rows, shapes):
     return words
 
 
+def _padded(values_by_party, roster, zero):
+    """Shares over the roster with missing or discarded entries zeroed."""
+    return {i: zero if values_by_party.get(i) is None else values_by_party[i]
+            for i in roster}
+
+
 def _combine(holdings, origins, hpub, shape, p):
     """hpub-weighted sum of one party's held values, missing -> 0."""
-    acc = np.zeros((hpub.shape[1],) + tuple(shape), dtype=np.int64)
-    for ix, o in enumerate(origins):
-        v = holdings.get(o)
-        if v is not None:
-            acc = (acc + hpub[ix][:, None, None] * v) % p
-    return acc
+    held = _padded(holdings, origins, np.zeros(shape, dtype=np.int64))
+    flat = np.stack(list(held.values())).reshape(len(origins), -1)
+    return mat_mul(hpub.T, flat, p).reshape((hpub.shape[1],) + tuple(shape))
 
 
 def shares_times_matrix(network, adv, scenario, phase, active, parts,
@@ -361,11 +364,12 @@ def eval_shared_poly(network, adv, scenario, prefix, active, polys, target):
     then recombines every F with Lagrange weights over the surviving
     points in one broadcast on <prefix>:mix and decodes each degree-t
     word. Returns the (r, c) value of every F at target, in order.
+    Fewer than max(p_deg) + 1 active parties raise TooFewSurvivors.
     """
     s, p, t = scenario, scenario.p, scenario.t
     top = max(p_deg for _, p_deg in polys)
     if len(active.active) < top + 1:
-        raise ParameterViolation(
+        raise TooFewSurvivors(
             f"{len(active.active)} active parties cannot fix degree {top}")
     bundles, active = subshare_of_shares(
         network, adv, s, f"{prefix}:sub", active,

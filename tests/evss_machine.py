@@ -1,0 +1,170 @@
+"""Per-party EVSS state machine: the reference for the batch runner.
+
+compc.evss runs verifiable sharing through one driver,
+run_evss_batch, which handles many instances per network round. This
+module drives one instance party by party over the same decision
+rules (complaints_for, reveals_for, vote_for and _well_formed from
+compc.evss), so the tests can replay a batch transcript through it and
+demand the same verdicts and shares. It is slow and exists only for
+tests.
+"""
+
+from dataclasses import dataclass, field
+from typing import NamedTuple
+
+from compc.evss import (EvssDeal, _well_formed, complaints_for,
+                        reveals_for, vote_for)
+from compc.net import BCAST, PRIV
+from compc.poly import horner
+
+
+class EvssMsg(NamedTuple):
+    kind: str       # deal | cross | complain | reveal | vote
+    sender: int
+    channel: str    # PRIV or BCAST
+    body: tuple
+
+
+class EvssVerdict(NamedTuple):
+    accepted: bool
+    share: object   # ndarray f_i(0) when accepted and held, else None
+
+
+@dataclass
+class EvssParty:
+    """One party's state across the protocol rounds.
+
+    `t` is the adversary budget, not the label's mask count. A dealer
+    outside 1..n (an input source) deals and resolves complaints but
+    holds no share and casts no vote.
+
+    Message bodies: deal (recipient, fc, gc); cross (recipient, u, v);
+    complain (complaint items); reveal ((who, fc, gc), ...);
+    vote (bit,).
+    """
+    party: int
+    dealer: int
+    n: int
+    t: int
+    label: object
+    shape: tuple
+    p: int
+    deal: EvssDeal = None       # dealer side only
+    phase: str = "deal"
+    polys: tuple = None
+    cross_in: dict = field(default_factory=dict)
+    complaints: dict = field(default_factory=dict)
+    reveals: dict = field(default_factory=dict)
+    votes: dict = field(default_factory=dict)
+
+    @property
+    def workers(self):
+        return tuple(range(1, self.n + 1))
+
+    @property
+    def others(self):
+        return tuple(j for j in self.workers if j != self.party)
+
+    @property
+    def d1(self):
+        return self.label.degree + 1
+
+
+def evss_round(state, inbox):
+    """Advance one round; returns (state, outbox of EvssMsg)."""
+    out = []
+    p = state.p
+    if state.phase == "deal":
+        if state.party == state.dealer:
+            if state.party in state.workers:
+                state.polys = state.deal.polys_for(state.party)
+            for j in state.workers:
+                if j != state.party:
+                    out.append(EvssMsg("deal", state.party, PRIV,
+                                       (j,) + state.deal.polys_for(j)))
+        state.phase = "cross"
+        return state, out
+
+    if state.phase == "cross":
+        for msg in inbox:
+            if msg.kind == "deal" and msg.sender == state.dealer \
+                    and state.polys is None:
+                pair = (msg.body[1], msg.body[2])
+                if _well_formed(pair, state.d1, state.shape, p):
+                    state.polys = pair
+        if state.polys is not None:
+            fc, gc = state.polys
+            for j in state.others:
+                out.append(EvssMsg("cross", state.party, PRIV,
+                                   (j, horner(fc, [j], p)[0],
+                                    horner(gc, [j], p)[0])))
+        state.phase = "complain"
+        return state, out
+
+    if state.phase == "complain":
+        for msg in inbox:
+            if msg.kind == "cross" and msg.sender in state.others \
+                    and msg.sender not in state.cross_in:
+                state.cross_in[msg.sender] = (msg.body[1], msg.body[2])
+        if state.party in state.workers:
+            items = complaints_for(state.party, state.polys, state.cross_in,
+                                   state.others, p)
+            if items:
+                out.append(EvssMsg("complain", state.party, BCAST,
+                                   tuple(items)))
+        state.phase = "resolve"
+        return state, out
+
+    if state.phase == "resolve":
+        for msg in inbox:
+            if msg.kind == "complain" and msg.sender in state.workers \
+                    and msg.sender not in state.complaints:
+                state.complaints[msg.sender] = list(msg.body)
+        if state.party == state.dealer and state.complaints:
+            ans = reveals_for(state.deal, state.complaints,
+                              set(state.workers))
+            if ans:
+                out.append(EvssMsg("reveal", state.party, BCAST,
+                                   tuple((i,) + pair
+                                         for i, pair in sorted(ans.items()))))
+        state.phase = "vote"
+        return state, out
+
+    if state.phase == "vote":
+        for msg in inbox:
+            if msg.kind == "reveal" and msg.sender == state.dealer:
+                for item in msg.body:
+                    if isinstance(item, tuple) and len(item) == 3 \
+                            and item[0] not in state.reveals:
+                        state.reveals[item[0]] = (item[1], item[2])
+        if state.complaints:
+            vote, adopted = vote_for(
+                state.party, state.polys, state.cross_in, state.complaints,
+                state.reveals, state.d1, state.shape, p)
+            state.polys = adopted
+            if state.party in state.workers:
+                out.append(EvssMsg("vote", state.party, BCAST, (int(vote),)))
+        state.phase = "tally"
+        return state, out
+
+    if state.phase == "tally":
+        for msg in inbox:
+            if msg.kind == "vote" and msg.sender in state.workers \
+                    and msg.sender not in state.votes:
+                state.votes[msg.sender] = bool(msg.body[0])
+        state.phase = "done"
+        return state, []
+
+    return state, []
+
+
+def evss_finalize(state):
+    """Verdict after all rounds; accepted on silence or N-t votes."""
+    if not state.complaints:
+        accepted = True
+    else:
+        accepted = sum(state.votes.values()) >= state.n - state.t
+    share = None
+    if accepted and state.polys is not None:
+        share = state.polys[0][0]
+    return EvssVerdict(accepted, share)

@@ -20,7 +20,7 @@ from compc.audit import (LEAK_PRODUCT, LEAK_SOURCE, PRODUCT, SHARING,
                          AuditTemplate, enumerate_views, product_round_audit,
                          tv_distance)
 from compc.cli import _py_matmul_t, main as cli_main
-from compc.evss import EvssMsg, EvssParty, evss_deal, evss_finalize, evss_round
+from compc.evss import evss_deal
 from compc.gf import DEFAULT_PRIME, FMatrix, mat_mul
 from compc.mpc import (ProgramOp, build_masks, masked_product,
                        recovery_threshold)
@@ -29,6 +29,7 @@ from compc.poly import MatPoly, coeff_extraction_combo, interpolate
 from compc.rscode import DecodingFailure, decode
 from compc.sharing import DIRECT, REVERSE, ShareLabel, make_share_poly
 from compc.subroutines import BAD_GAP, BAD_SUBSHARE
+from evss_machine import EvssMsg, EvssParty, evss_finalize, evss_round
 
 P31 = DEFAULT_PRIME
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -287,7 +288,7 @@ def test_ac06_lambda_recombination_equals_direct_product():
             lam = coeff_extraction_combo(points, 2 * m + 2 * t - 2, m - 1, P31)
             acc = np.zeros((z, z), dtype=np.int64)
             for ix, x in enumerate(points):
-                g = mat_mul(fa.eval_raw(x), fb.eval_raw(x).T, P31)
+                g = mat_mul(fa.eval_many([x])[0], fb.eval_many([x])[0].T, P31)
                 acc = (acc + lam[ix] * g) % P31
             assert acc.tolist() == _py_matmul_t(a.a.tolist(), b.a.tolist(), P31)
     elapsed = time.perf_counter() - started

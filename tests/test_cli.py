@@ -246,12 +246,6 @@ class TestSweepCommand:
         assert run_cli("sweep", "--grid", "q=3") == 2
         assert run_cli("sweep", "--grid", "strategy=Nonsense") == 2
 
-    def test_thread_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("COMPC_THREADS", "1")
-        assert run_cli("sweep", "--grid", "m=1;t=0") == 0
-        monkeypatch.setenv("COMPC_THREADS", "soup")
-        assert run_cli("sweep", "--grid", "m=1;t=0") == 2
-
     def test_deterministic_up_to_wall_time(self, capsys):
         def strip_wall(text):
             return [line.rsplit("wall_ms=", 1)[0] for line in text.splitlines()]
@@ -305,11 +299,3 @@ class TestAuditCommand:
                            "--out", str(out)) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
-
-
-class TestBenchCommand:
-    def test_emits_timing_records(self, capsys):
-        assert run_cli("bench", "--m", "1", "--t", "1") == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 2
-        assert all("avg_ms=" in line for line in lines)

@@ -1,9 +1,10 @@
 """Verifiable sharing: state machine, batch runner, and their agreement.
 
-The state-machine tests drive EvssParty instances through a scripted
-router with an optional tamper hook standing in for the adversary. The
-batch runner is then cross-validated by replaying its wire transcript
-into the state machine and demanding identical verdicts and shares.
+The state-machine tests drive EvssParty instances (evss_machine.py,
+the reference for run_evss_batch) through a scripted router with an
+optional tamper hook standing in for the adversary. The batch runner
+is then cross-validated by replaying its wire transcript into the
+state machine and demanding identical verdicts and shares.
 """
 
 from collections import Counter
@@ -13,17 +14,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compc import evss
 from compc.errors import ParameterViolation
-from compc.evss import (BatchInstance, EvssDeal, EvssMsg, EvssParty,
-                        complaints_for, evss_deal, evss_deal_poly,
-                        evss_finalize, evss_round, reveals_for,
-                        run_evss_batch, vote_for)
+from compc.evss import (BatchInstance, EvssDeal, complaints_for, evss_deal,
+                        evss_deal_poly, reveals_for, run_evss_batch,
+                        vote_for)
 from compc.gf import FMatrix, solve_particular
 from compc.net import (BCAST, PRIV, AdversaryController, Network, Scenario,
                        Transcript, rng_for)
-from compc.poly import MatPoly, vandermonde
+from compc.poly import MatPoly, horner, vandermonde
 from compc.sharing import ShareLabel, make_share_poly
+from evss_machine import EvssMsg, EvssParty, evss_finalize, evss_round
 
 P = 97
 
@@ -69,11 +69,11 @@ def test_deal_structure_and_crosspoints():
     assert not q[2].any()          # the gap slot
     for i in range(1, 8):
         fc, gc = deal.polys_for(i)
-        assert np.array_equal(fc[0], evss._poly_at(q, i, P))
+        assert np.array_equal(fc[0], horner(q, [i], P)[0])
         for j in range(1, 8):
-            assert np.array_equal(evss._poly_at(fc, j, P),
+            assert np.array_equal(horner(fc, [j], P)[0],
                                   grid_value(deal, j, i))
-            assert np.array_equal(evss._poly_at(gc, j, P),
+            assert np.array_equal(horner(gc, [j], P)[0],
                                   grid_value(deal, i, j))
 
 
@@ -124,8 +124,8 @@ def test_complaints_missing_and_mismatched_senders():
     got = complaints_for(2, polys, bad, (1, 3, 4), P)
     assert [c[1] for c in got] == [3, 4]
     u, v = got[0][2], got[0][3]
-    assert np.array_equal(u, evss._poly_at(polys[0], 3, P))
-    assert np.array_equal(v, evss._poly_at(polys[1], 3, P))
+    assert np.array_equal(u, horner(polys[0], [3], P)[0])
+    assert np.array_equal(v, horner(polys[1], [3], P)[0])
 
 
 def test_reveals_only_for_wrong_claims_and_self():
@@ -275,8 +275,8 @@ def test_machine_byzantine_crosses_and_false_complaint_still_accept():
         if rnd == 2:    # false accusation against party 1, wrong claims
             fc, gc = deal.polys_for(bad)
             return [EvssMsg("complain", sender, BCAST,
-                            (("pair", 1, (evss._poly_at(fc, 1, P) + 1) % P,
-                              evss._poly_at(gc, 1, P)),))]
+                            (("pair", 1, (horner(fc, [1], P)[0] + 1) % P,
+                              horner(gc, [1], P)[0]),))]
         return out
 
     verdicts, _, _ = run_machine(n, t, lab, (2, 1), P, 1, deal, tamper)
@@ -368,7 +368,7 @@ def test_batch_honest_multi_dealer_early_accept():
     for iid, res in out.items():
         assert res.accepted
         for i in s.workers:
-            expect = evss._poly_at(deals[iid].grid[0], i, s.p)
+            expect = horner(deals[iid].grid[0], [i], s.p)[0]
             assert np.array_equal(res.shares[i], expect)
     # nobody complains, so only deal and cross traffic exists
     phases = {e.phase for e in net.transcript.envelopes}
@@ -529,8 +529,8 @@ def test_single_view_distribution_independent_of_secret():
             view += [int(x) for x in np.concatenate([fc, gc]).ravel()]
             for j in others:
                 fj, gj = deal.polys_for(j)
-                view.append(int(evss._poly_at(fj, observer, 5)[0, 0]))
-                view.append(int(evss._poly_at(gj, observer, 5)[0, 0]))
+                view.append(int(horner(fj, [observer], 5)[0][0, 0]))
+                view.append(int(horner(gj, [observer], 5)[0][0, 0]))
             c[tuple(view)] += 1
         dists.append(c)
     assert dists[0] == dists[1]

@@ -161,7 +161,7 @@ def test_extraction_recombines_to_product():
             lam = coeff_extraction_combo(points, 2 * m + 2 * t - 2, m - 1, p)
             acc = np.zeros((z, z), dtype=np.int64)
             for ix, x in enumerate(points):
-                g = mat_mul(fa.eval_raw(x), fb.eval_raw(x).T, p)
+                g = mat_mul(fa.eval_many([x])[0], fb.eval_many([x])[0].T, p)
                 acc = (acc + lam[ix] * g) % p
             assert np.array_equal(acc, direct_product(a, b))
 

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compc.errors import DuplicatePoints, InsufficientPoints, ShapeMismatch
-from compc.gf import FMatrix
-from compc.poly import (MatPoly, coeff_extraction_combo, interpolate,
+from compc.gf import DEFAULT_PRIME, FMatrix
+from compc.poly import (MatPoly, coeff_extraction_combo, horner, interpolate,
                         lagrange_coeffs, powers, vandermonde)
 
 
@@ -18,7 +18,7 @@ def test_trailing_zeros_trimmed():
     assert f.degree == 0
     z = poly_of([[[0]]], 7)
     assert z.degree == -1
-    assert z.eval(5).to_lists() == [[0]]
+    assert z.eval_many([5])[0].tolist() == [[0]]
 
 
 def test_eval_horner_matches_direct():
@@ -27,10 +27,28 @@ def test_eval_horner_matches_direct():
     for x in range(p):
         direct = (np.array([[1, 2]]) + x * np.array([[3, 4]])
                   + x * x * np.array([[5, 6]])) % p
-        assert f.eval(x).to_lists() == direct.tolist()
+        assert f.eval_many([x])[0].tolist() == direct.tolist()
     many = f.eval_many(list(range(p)))
     for x in range(p):
-        assert many[x].tolist() == f.eval(x).to_lists()
+        assert many[x].tolist() == f.eval_many([x])[0].tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 7, 97, DEFAULT_PRIME]), st.integers(0, 3),
+       st.integers(-1, 6), st.lists(st.integers(0, 2 ** 62), max_size=3),
+       st.integers(0, 10 ** 6))
+def test_horner_matches_termwise_sum(p, ndim, degree, extra, seed):
+    rng = np.random.default_rng(seed)
+    tail = tuple(int(x) for x in rng.integers(1, 4, size=ndim))
+    coeffs = rng.integers(0, p, size=(degree + 1,) + tail)
+    xs = [0, p - 1, p, 3 * p + 1] + extra
+    got = horner(coeffs, xs, p)
+    assert got.shape == (len(xs),) + tail and got.dtype == np.int64
+    for ix, x in enumerate(xs):
+        for pos in np.ndindex(*tail):
+            want = sum(int(coeffs[(k,) + pos]) * x ** k
+                       for k in range(degree + 1)) % p
+            assert int(got[(ix,) + pos]) == want
 
 
 def test_poly_ring_ops():
@@ -42,7 +60,6 @@ def test_poly_ring_ops():
     prod = f.mul(g)                     # 3 + 10x + 8x^2
     assert prod.c[:, 0, 0].tolist() == [3, 3, 1]
     assert f.shift(2).c[:, 0, 0].tolist() == [0, 0, 1, 2]
-    assert f.scale(3).c[:, 0, 0].tolist() == [3, 6]
 
 
 def test_matrix_coeff_product_uses_matmul():
@@ -82,7 +99,7 @@ def test_interpolate_roundtrip(seed):
     coeffs = rng.integers(0, p, size=(deg + 1, 2, 3))
     f = MatPoly(coeffs, p)
     pts = list(range(1, deg + 2))
-    g = interpolate(pts, [f.eval(x) for x in pts], p)
+    g = interpolate(pts, list(f.eval_many(pts)), p)
     assert g == f or (f.degree == -1 and g.degree == -1)
 
 
@@ -94,8 +111,9 @@ def test_lagrange_agrees_with_interpolation_oracle():
     pts = [2, 5, 7]
     for target in range(p):
         lam = lagrange_coeffs(pts, target, p)
-        acc = sum(l * int(f.eval(x).a[0, 0]) for l, x in zip(lam, pts)) % p
-        assert acc == int(f.eval(target).a[0, 0])
+        acc = sum(l * int(f.eval_many([x])[0, 0, 0])
+                  for l, x in zip(lam, pts)) % p
+        assert acc == int(f.eval_many([target])[0, 0, 0])
 
 
 @given(st.integers(0, 10 ** 6), st.integers(2, 4), st.integers(0, 3))
@@ -110,7 +128,7 @@ def test_coeff_extraction_property(seed, npts_extra, index):
     lam = coeff_extraction_combo(pts, degree, index, p)
     coeffs = rng.integers(0, p, size=(degree + 1, 1, 1))
     f = MatPoly(coeffs, p)
-    acc = sum(l * int(f.eval(x).a[0, 0]) for l, x in zip(lam, pts)) % p
+    acc = sum(l * int(f.eval_many([x])[0, 0, 0]) for l, x in zip(lam, pts)) % p
     assert acc == int(coeffs[index, 0, 0])
 
 

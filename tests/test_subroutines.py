@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from compc.errors import (DecodingFailure, ParameterViolation,
                           TooFewSurvivors)
-from compc.evss import _poly_at, evss_deal
+from compc.evss import evss_deal
 from compc.gf import FMatrix
 from compc.net import AdversaryController, Network, Scenario, Transcript
+from compc.poly import horner
 from compc.sharing import ShareLabel
 from compc.subroutines import (ActiveSet, BAD_GAP, BAD_SUBSHARE,
                                EVSS_REJECTED, SubshareBundle,
@@ -31,7 +32,7 @@ def rand_poly(rng, degree, shape, p):
 
 
 def shares_of(coeffs, live, p):
-    return {n: _poly_at(coeffs, n, p) for n in live}
+    return {n: horner(coeffs, [n], p)[0] for n in live}
 
 
 def honest_bundles(live, f_vals, zeta, t, p, seed=11):
@@ -282,7 +283,7 @@ def test_subshare_families_share_batches_and_one_syndrome_round():
         for n in s.workers:
             q = interpolate(list(s.workers),
                             [bnd[n].values[j] for j in s.workers], s.p)
-            assert np.array_equal(q.coeff(0).a, _poly_at(fc, n, s.p))
+            assert np.array_equal(q.coeff(0).a, horner(fc, [n], s.p)[0])
             assert all(not q.coeff(e).a.any() for e in range(1, zeta))
 
 
@@ -460,7 +461,7 @@ def test_eval_constant_any_target():
 def test_eval_byzantine_broadcaster_unchanged():
     rng = np.random.default_rng(12)
     fc = rand_poly(rng, 1, (2, 2), 97)
-    expect = _poly_at(fc, 9, 97)
+    expect = horner(fc, [9], 97)[0]
     for seed in range(3):
         s = scen(4, 1, p=97, seed=seed,
                  adversaries=((2, "RandomByzantine"),))
@@ -478,7 +479,7 @@ def test_eval_requires_enough_active_parties():
     active.eliminate(1, EVSS_REJECTED)
     active.eliminate(2, EVSS_REJECTED)
     fc = rand_poly(np.random.default_rng(0), 2, (1, 1), s.p)
-    with pytest.raises(ParameterViolation):
+    with pytest.raises(TooFewSurvivors):
         evaluate(net, adv, s, active,
                  shares_of(fc, s.workers, s.p), 2, 3)
 
@@ -512,7 +513,7 @@ def test_honest_pipeline_property(seed, t, zeta, p_deg):
     assert active.eliminated == {}
     target = int(rng.integers(0, s.p))
     out = evaluate(net, adv, s, active, f_vals, p_deg, target)
-    assert np.array_equal(out, _poly_at(fc, target, s.p))
+    assert np.array_equal(out, horner(fc, [target], s.p)[0])
 
 
 def test_adversarial_pipeline_never_eliminates_honest():
