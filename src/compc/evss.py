@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import ParameterViolation
 from .gf import is_field_array
-from .net import BCAST, PRIV
+from .net import BCAST, PRIV, tagged
 from .poly import horner
 from .sharing import make_share_poly
 
@@ -147,18 +147,15 @@ def vote_for(party, polys, cross_in, complaints, reveals, d1, shape, p):
         return False, None
     fc, gc = polys
 
+    # (x, values that must equal (g(x), f(x)) of the adopted pair)
+    checks = []
     vote = True
     if my_reveal is not None:
         if not _well_formed(my_reveal, d1, shape, p):
             vote = False
         else:
-            for j, got in cross_in.items():
-                if got is None:
-                    continue
-                if not (_values_eq(got[0], horner(gc, [j], p)[0])
-                        and _values_eq(got[1], horner(fc, [j], p)[0])):
-                    vote = False
-                    break
+            checks += [(j, got) for j, got in cross_in.items()
+                       if got is not None]
 
     # unanswered self-complaints block everyone
     for i, items in complaints.items():
@@ -180,17 +177,23 @@ def vote_for(party, polys, cross_in, complaints, reveals, d1, shape, p):
         if not (_values_eq(u_ij, back[1]) and _values_eq(v_ij, back[0])):
             vote = False
 
-    # every other reveal must be well formed and match my own pair
-    for k, pair in reveals.items():
-        if k == party:
-            continue
-        if not _well_formed(pair, d1, shape, p):
-            vote = False
-            continue
-        rf, rg = pair
-        if not (_values_eq(horner(rf, [party], p)[0], horner(gc, [k], p)[0])
-                and _values_eq(horner(rg, [party], p)[0],
-                               horner(fc, [k], p)[0])):
+    # every other reveal must be well formed and match my own pair:
+    # (f_k(a_party), g_k(a_party)) = (g(a_k), f(a_k))
+    others = [(k, pair) for k, pair in reveals.items() if k != party]
+    formed = [(k, pair) for k, pair in others
+              if _well_formed(pair, d1, shape, p)]
+    if len(formed) < len(others):
+        vote = False
+    if formed:
+        theirs = horner(np.stack([np.stack(pair, axis=1)
+                                  for _, pair in formed], axis=1),
+                        [party], p)[0]
+        checks += [(k, got) for (k, _), got in zip(formed, theirs)]
+
+    if checks:
+        mine = horner(np.stack([gc, fc], axis=1), [x for x, _ in checks], p)
+        if not all(_values_eq(got[0], g) and _values_eq(got[1], f)
+                   for (_, got), (g, f) in zip(checks, mine)):
             vote = False
 
     return vote, polys
@@ -279,11 +282,7 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kinds=None):
 
     pair_shape = (d1,) + tuple(shape)
     for i in workers:
-        for sender, channel, payload in inboxes[i]:
-            if channel != PRIV or not isinstance(payload, tuple) \
-                    or len(payload) != 4 or payload[0] != "evd":
-                continue
-            _, iids, fs, gs = payload
+        for sender, (_, iids, fs, gs) in tagged(inboxes[i], PRIV, "evd", 4):
             if not isinstance(iids, tuple):
                 continue
             whole = is_field_array(fs, (len(iids),) + pair_shape, p) \
@@ -326,11 +325,7 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kinds=None):
     # recv[i][j] = (position map, U stack, V stack), validated on ingest
     recv = {i: {} for i in workers}
     for i in workers:
-        for sender, channel, payload in inboxes[i]:
-            if channel != PRIV or not isinstance(payload, tuple) \
-                    or len(payload) != 4 or payload[0] != "evx":
-                continue
-            _, iids, us, vs = payload
+        for sender, (_, iids, us, vs) in tagged(inboxes[i], PRIV, "evx", 4):
             if sender not in workers or sender == i or sender in recv[i]:
                 continue
             if not isinstance(iids, tuple) or len(set(iids)) != len(iids):
@@ -389,13 +384,10 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kinds=None):
     adv.observe(f"{prefix}:complain", inboxes)
 
     complaints = {iid: {} for iid in all_iids}
-    for sender, channel, payload in inboxes[workers[0]]:
-        if channel != BCAST or not isinstance(payload, tuple) \
-                or len(payload) != 2 or payload[0] != "evc":
+    for sender, (_, items) in tagged(inboxes[workers[0]], BCAST, "evc", 2):
+        if sender not in workers or not isinstance(items, tuple):
             continue
-        if sender not in workers or not isinstance(payload[1], tuple):
-            continue
-        for item in payload[1]:
+        for item in items:
             if not isinstance(item, tuple) or len(item) < 2:
                 continue
             iid = item[0]
@@ -421,13 +413,11 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kinds=None):
         inboxes = network.exchange(f"{prefix}:resolve", outboxes)
         adv.observe(f"{prefix}:resolve", inboxes)
 
-        for sender, channel, payload in inboxes[workers[0]]:
-            if channel != BCAST or not isinstance(payload, tuple) \
-                    or len(payload) != 2 or payload[0] != "evr":
+        for sender, (_, items) in tagged(inboxes[workers[0]], BCAST, "evr",
+                                         2):
+            if not isinstance(items, tuple):
                 continue
-            if not isinstance(payload[1], tuple):
-                continue
-            for item in payload[1]:
+            for item in items:
                 if not isinstance(item, tuple) or len(item) != 4:
                     continue
                 iid, who, rf, rg = item
@@ -453,13 +443,11 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kinds=None):
         inboxes = network.exchange(f"{prefix}:vote", outboxes)
         adv.observe(f"{prefix}:vote", inboxes)
 
-        for sender, channel, payload in inboxes[workers[0]]:
-            if channel != BCAST or not isinstance(payload, tuple) \
-                    or len(payload) != 2 or payload[0] != "evv":
+        for sender, (_, bits) in tagged(inboxes[workers[0]], BCAST, "evv",
+                                        2):
+            if sender not in workers or not isinstance(bits, tuple):
                 continue
-            if sender not in workers or not isinstance(payload[1], tuple):
-                continue
-            for item in payload[1]:
+            for item in bits:
                 if isinstance(item, tuple) and len(item) == 2 \
                         and item[0] in votes and sender not in votes[item[0]]:
                     votes[item[0]][sender] = bool(item[1])

@@ -53,7 +53,7 @@ from .errors import (DegreeMismatch, ParameterViolation, ProtocolAbort,
 from .evss import BatchInstance, evss_deal, evss_deal_poly, run_evss_batch
 from .gf import FMatrix, is_field_array, mat_mul
 from .net import (BCAST, PRIV, AdversaryController, Network, Transcript,
-                  rng_for)
+                  rng_for, tagged)
 from .poly import MatPoly, coeff_extraction_combo, horner, interpolate
 from .sharing import (DIRECT, REVERSE, Share, ShareLabel, make_share_poly,
                       robust_reconstruct)
@@ -381,16 +381,15 @@ def multiply_malicious(network, adv, scenario, prefix, active, sa, sb):
                           outboxes)
     inboxes = network.exchange(check_phase, outboxes)
     complaints = set()
-    for sender, channel, payload in inboxes[0]:
-        if (channel == BCAST and isinstance(payload, tuple)
-                and len(payload) == 2 and payload[0] == "mulcomplaint"
-                and sender in active.active):
-            try:
-                accused = int(payload[1])
-            except (TypeError, ValueError):
-                continue
-            if accused in dealers:
-                complaints.add((sender, accused))
+    for sender, (_, named) in tagged(inboxes[0], BCAST, "mulcomplaint", 2):
+        if sender not in active.active:
+            continue
+        try:
+            accused = int(named)
+        except (TypeError, ValueError):
+            continue
+        if accused in dealers:
+            complaints.add((sender, accused))
 
     # public settlement: evaluate everything the accused dealt at the
     # complainer's point and re-run the relation in the open
@@ -558,11 +557,7 @@ def _reveal(network, adv, scenario, prefix, active, sv, transcript):
     inboxes = network.exchange(phase, outboxes)
     recs = []
     seen = set()
-    for sender, channel, payload in inboxes[0]:
-        if (channel != PRIV or not isinstance(payload, tuple)
-                or len(payload) != 2 or payload[0] != "out"):
-            continue
-        v = payload[1]
+    for sender, (_, v) in tagged(inboxes[0], PRIV, "out", 2):
         if (sender in seen or sender not in active.active
                 or not is_field_array(v, (z, w), p)):
             continue

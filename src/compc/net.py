@@ -17,6 +17,7 @@ at alpha_n = n), N+1.. are input sources.
 """
 
 import hashlib
+from binascii import b2a_base64
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -98,53 +99,22 @@ class Envelope(NamedTuple):
     payload: tuple
 
 
-# Arrays with more entries than this are formatted in numpy; for
-# smaller ones numpy's per-call set-up costs more than str() per entry
-# (the two cost the same at about 150 int64 entries).
-_SMALL_ARRAY = 128
-
-
-def _digits(flat):
-    """Comma-separated decimal ASCII of a nonnegative integer vector.
-
-    Row r of q holds every entry divided by 10**(width-1-r), so digit
-    row r is q[r] - 10*q[r-1], and a digit is a leading zero exactly
-    where q[r] is 0. The digits fill a (width+1, n) byte grid whose
-    last row is commas; leading zeros become NUL. Read column by
-    column, with the NULs and the final comma dropped, the grid is the
-    text.
-    """
-    top = int(flat.max())
-    width = len(str(top))
-    q = np.empty((width, flat.size),
-                 dtype=np.uint32 if top < 2 ** 32 else np.uint64)
-    q[-1] = flat
-    for r in range(width - 1, 0, -1):
-        np.floor_divide(q[r], 10, out=q[r - 1])
-    grid = np.empty((width + 1, flat.size), dtype=np.uint8)
-    digits = grid[:width]
-    digits[0] = q[0]
-    np.subtract(q[1:], q[:-1] * 10, out=digits[1:], casting="unsafe")
-    digits += ord("0")
-    digits[:-1] *= q[:-1] != 0
-    grid[width] = ord(",")
-    return memoryview(grid.T.tobytes().replace(b"\0", b""))[:-1]
-
-
 def _write(buf, obj):
     """Append the canonical, unambiguous text form of a payload tree
-    to buf (a bytearray); see "Transcript format" in README.md."""
+    to buf (a bytearray); see "Transcript format" in README.md.
+
+    An integer array whose entries all lie in [0, 2**32), as every
+    field array does, is written as base64 of its little-endian uint32
+    words; any other array keeps the decimal form."""
     if isinstance(obj, np.ndarray):
-        buf += f"[{','.join(map(str, obj.shape))}:".encode()
-        flat = obj.ravel()
-        if flat.size > _SMALL_ARRAY and flat.dtype.kind in "iu" \
-                and flat.min() >= 0:
-            buf += _digits(flat)
+        buf += f"[{','.join(map(str, obj.shape))}".encode()
+        words = obj.astype("<u4") if obj.dtype.kind in "iu" else None
+        if words is not None and (words == obj).all():
+            buf += b"#"
+            buf += b2a_base64(words.tobytes(), newline=False)
         else:
-            values = flat.tolist()
-            if flat.dtype.kind not in "iu":
-                values = map(int, values)
-            buf += ",".join(map(str, values)).encode()
+            text = ",".join(str(int(v)) for v in obj.ravel().tolist())
+            buf += f":{text}".encode()
         buf += b"]"
     elif isinstance(obj, (tuple, list)):
         try:    # instance-id tuples: all strings, one join
@@ -210,6 +180,16 @@ class Transcript:
             _write(buf, self.master_output.a)
             buf += b"\n"
         return buf.decode() if buf else "\n"
+
+
+def tagged(inbox, channel, tag, size):
+    """(sender, payload) for each delivery in inbox that came on
+    `channel` and whose payload is a tuple of `size` items starting
+    with `tag`; every protocol step reads its inbox through this."""
+    for sender, ch, payload in inbox:
+        if ch == channel and isinstance(payload, tuple) \
+                and len(payload) == size and payload[0] == tag:
+            yield sender, payload
 
 
 class Network:

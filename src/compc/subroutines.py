@@ -51,7 +51,7 @@ import numpy as np
 from .errors import (DecodingFailure, ParameterViolation, TooFewSurvivors)
 from .evss import BatchInstance, evss_deal, run_evss_batch
 from .gf import FMatrix, is_field_array, mat_mul
-from .net import BCAST, rng_for
+from .net import BCAST, rng_for, tagged
 from .poly import lagrange_coeffs, vandermonde
 from .rscode import build_code, decode, syndrome_decode
 from .sharing import ShareLabel
@@ -128,12 +128,10 @@ def _broadcast_rows(network, adv, scenario, phase, live, rows, shapes):
     adv.observe(phase, inboxes)
 
     got = [{} for _ in shapes]
-    for sender, channel, payload in inboxes[0]:
-        if channel != BCAST or not isinstance(payload, tuple) \
-                or len(payload) != 2 or payload[0] != "stm" \
-                or sender not in live:
+    for sender, (_, body) in tagged(inboxes[0], BCAST, "stm", 2):
+        if sender not in live:
             continue
-        stacks = (payload[1],) if single else payload[1]
+        stacks = (body,) if single else body
         if not isinstance(stacks, tuple) or len(stacks) != len(shapes):
             continue
         for part, y, shape in zip(got, stacks, shapes):

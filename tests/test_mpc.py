@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compc.errors import DegreeMismatch, ParameterViolation, TooFewSurvivors
+from compc.errors import (CompcError, DegreeMismatch, ParameterViolation,
+                          TooFewSurvivors)
 from compc.gf import FMatrix, mat_mul
 from compc.mpc import (MaskSet, ProgramOp, SharedMatrix, add_shares,
                        build_masks, direct_to_reverse, execute,
@@ -20,8 +21,8 @@ from compc.mpc import (MaskSet, ProgramOp, SharedMatrix, add_shares,
                        multiply_malicious, multiply_semi_honest,
                        recovery_threshold,
                        reverse_to_direct, transpose_shares)
-from compc.net import (AdversaryController, Network, Scenario, Strategy,
-                       Transcript)
+from compc.net import (STRATEGY_NAMES, AdversaryController, Network,
+                       Scenario, Strategy, Transcript, run_scenario)
 from compc.poly import MatPoly, coeff_extraction_combo, interpolate
 from compc.sharing import (DIRECT, REVERSE, Share, ShareLabel,
                            make_share_poly, reconstruct, robust_reconstruct)
@@ -636,6 +637,31 @@ def test_program_with_adversary_matches_oracle(name):
     assert np.array_equal(tr.master_output.a, xs[0] @ xs[1].T % p)
     bad = [e for e in tr.events if e[0] == "eliminate" and e[2] != 2]
     assert bad == []
+
+
+@pytest.mark.parametrize("m, t", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_beyond_the_threshold_never_returns_a_wrong_product(m, t):
+    """One worker short of N = 3t + 2m - 1, with each strategy at party
+    2: every run returns exactly A.B^T or raises a typed error."""
+    p, n, z = 97, 3 * t + 2 * m - 2, 2 * m
+    program = (ProgramOp("share", (0, DIRECT), "a"),
+               ProgramOp("share", (1, REVERSE), "b"),
+               ProgramOp("mul", ("a", "b"), "c"),
+               ProgramOp("reveal", ("c",)))
+    for name in STRATEGY_NAMES:
+        for seed in (0, 1):
+            rng = np.random.default_rng(seed)
+            xs = [rng.integers(0, p, size=(z, z)) for _ in range(2)]
+            s = Scenario(n=n, t=t, m=m, p=p, seed=seed, z=z,
+                         program=program, adversaries=((2, name),),
+                         inputs=tuple(FMatrix(x, p) for x in xs),
+                         sub_threshold=True)
+            try:
+                tr = run_scenario(s)
+            except CompcError:
+                continue
+            assert np.array_equal(tr.master_output.a, xs[0] @ xs[1].T % p), \
+                f"wrong product: m={m} t={t} {name} seed={seed}"
 
 
 def test_execute_is_deterministic():

@@ -1,9 +1,11 @@
 """The transcript text: encoder against the reference, and a golden run.
 
-`compc.net` formats large nonnegative integer arrays in numpy and the
-rest with str(); both must give exactly the text of the reference
-encoder in `transcript_ref.py`, which builds one string per element.
-The golden test pins the whole format on a real adversarial run.
+`compc.net` writes an integer array with every entry in [0, 2**32) as
+base64 of its little-endian uint32 words and any other array in
+decimal; both must give exactly the text of the reference encoder in
+`transcript_ref.py`, which builds the text one element at a time, and
+real transcripts must parse back into their payloads. The golden test
+pins the whole format on a real adversarial run.
 """
 
 import hashlib
@@ -20,17 +22,17 @@ from compc import cli, evss
 from compc.audit import view_of
 from compc.gf import DEFAULT_PRIME, FMatrix
 from compc.mpc import ProgramOp
-from compc.net import (BCAST, PRIV, Envelope, Scenario, Transcript,
-                       _SMALL_ARRAY, encode, run_scenario)
-from transcript_ref import ref_envelope_line, ref_ser, ref_serialize
+from compc.net import (BCAST, PRIV, Envelope, Scenario, Transcript, encode,
+                       run_scenario)
+from transcript_ref import (parse_envelope_line, parse_value,
+                            ref_envelope_line, ref_ser, ref_serialize)
 
 THRESHOLD_SCN = Path(__file__).resolve().parent.parent / "scenarios" \
     / "threshold.scn"
 
 EDGES = [0, 9, 10, 99, 100, DEFAULT_PRIME - 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32,
          10 ** 18, 2 ** 63 - 1]
-SIZES = [0, 1, 2, _SMALL_ARRAY - 1, _SMALL_ARRAY, _SMALL_ARRAY + 1,
-         _SMALL_ARRAY + 2, 3 * _SMALL_ARRAY + 5]
+SIZES = [0, 1, 2, 127, 128, 129, 130, 389]
 
 nonneg = st.sampled_from(EDGES) | st.integers(0, 2 ** 63 - 1) \
     | st.integers(0, 2 ** 31)
@@ -39,7 +41,7 @@ signed = nonneg | st.integers(-2 ** 63, -1) | st.sampled_from([-1, -10])
 
 @st.composite
 def int64_arrays(draw):
-    size = draw(st.sampled_from(SIZES) | st.integers(0, 4 * _SMALL_ARRAY))
+    size = draw(st.sampled_from(SIZES) | st.integers(0, 512))
     values = signed if draw(st.booleans()) else nonneg
     flat = draw(hnp.arrays(np.int64, size, elements=values))
     if draw(st.booleans()) and size % 2 == 0 and size:
@@ -83,9 +85,32 @@ def test_every_edge_value_on_both_sides_of_the_cutoff(size, value):
 
 
 def test_zero_dimensional_and_empty_arrays():
-    assert encode(np.array(7)) == b"[:7]"
-    assert encode(np.zeros((0, 3), dtype=np.int64)) == b"[0,3:]"
+    assert encode(np.array(7)) == b"[#BwAAAA==]"
+    assert encode(np.array(-7)) == b"[:-7]"
+    assert encode(np.zeros((0, 3), dtype=np.int64)) == b"[0,3#]"
+    assert encode(np.zeros(0, dtype=bool)) == b"[0:]"
+    assert encode(np.zeros((2, 0), dtype=float)) == b"[2,0:]"
     assert encode((None, "a", 5, [])) == b"(~;a;5;())"
+
+
+@pytest.mark.parametrize("a, text", [
+    (np.array([2 ** 32 - 1, 0]), b"[2#/////wAAAAA=]"),
+    (np.array([2 ** 32, 0]), b"[2:4294967296,0]"),
+    (np.array([2 ** 32 - 1], dtype=np.uint64), b"[1#/////w==]"),
+    (np.array([2 ** 32], dtype=np.uint64), b"[1:4294967296]"),
+    (np.array([[1, 2], [3, 4]]), b"[2,2#AQAAAAIAAAADAAAABAAAAA==]"),
+    (np.array([[1, 2], [3, 4]]).T, b"[2,2#AQAAAAMAAAACAAAABAAAAA==]"),
+    (np.array([1, -1]), b"[2:1,-1]"),
+    (np.array([True, False]), b"[2:1,0]"),
+    (np.array([1.0, 2.0]), b"[2:1,2]"),
+    (np.array(True), b"[:1]"),
+])
+def test_array_forms_at_the_boundaries(a, text):
+    """Entries in [0, 2**32) of an integer dtype take the base64 form,
+    in C order; a negative entry, an entry of 2**32 or more, a bool or
+    a float array keeps the decimal form."""
+    assert encode(a) == text == ref_ser(a).encode()
+    assert np.array_equal(parse_value(text.decode()), a)
 
 
 @pytest.mark.parametrize("a", [
@@ -135,14 +160,66 @@ def test_views_use_the_transcript_line_format():
         assert view_of(tr, subset).messages == "\n".join(lines).encode()
 
 
-# pinned when each worker began to deal its product masks as one
-# polynomial per group of at most 2m-1; the revealed product is
-# unchanged
+def same_tree(parsed, payload):
+    """A parsed payload tree equals the payload it was written from:
+    arrays in shape and entries, tuples and lists item by item, ints
+    by value, strings and None as they are."""
+    if isinstance(payload, np.ndarray):
+        return isinstance(parsed, np.ndarray) \
+            and parsed.shape == payload.shape \
+            and np.array_equal(parsed, payload)
+    if isinstance(payload, (tuple, list)):
+        return isinstance(parsed, tuple) and len(parsed) == len(payload) \
+            and all(map(same_tree, parsed, payload))
+    if isinstance(payload, (int, np.integer)):
+        return type(parsed) is int and parsed == int(payload)
+    return type(parsed) is type(payload) and parsed == payload
+
+
+def assert_envelopes_parse_back(tr):
+    lines = tr.serialize().splitlines()
+    assert len(lines) >= len(tr.envelopes)
+    for line, e in zip(lines, tr.envelopes):
+        rnd, sender, to, phase, tree = parse_envelope_line(line)
+        assert (rnd, sender, to, phase) == (e.round, e.sender, e.recipient,
+                                            e.phase)
+        assert same_tree(tree, e.payload), line[:80]
+
+
+def test_threshold_transcript_parses_back():
+    config = types.SimpleNamespace(scenario=str(THRESHOLD_SCN), n=None,
+                                   t=None, m=None, prime=None, seed=None,
+                                   strategy=None)
+    tr = run_scenario(cli.load_scenario(config))
+    assert_envelopes_parse_back(tr)
+
+
+def test_byzantine_transcript_parses_back():
+    """m=3, t=2, N=11 with a false complainer and a random liar:
+    complaints, settlement and mutated arrays, on the direction and
+    transpose drivers too."""
+    rng = np.random.default_rng(5)
+    xs = [rng.integers(0, DEFAULT_PRIME, size=(6, 6)) for _ in range(2)]
+    program = [ProgramOp("share", (0, "direct"), "a"),
+               ProgramOp("share", (1, "direct"), "b0"),
+               ProgramOp("d2r", ("b0",), "b"),
+               ProgramOp("mul", ("a", "b"), "c"),
+               ProgramOp("transpose", ("c",), "d"),
+               ProgramOp("reveal", ("d",))]
+    tr = run_scenario(scenario(11, 2, 3, DEFAULT_PRIME, xs, program,
+                               adversaries=((2, "FalseComplainer"),
+                                            (7, "RandomByzantine"))))
+    assert any(e.phase.endswith(":mix") for e in tr.envelopes)
+    assert_envelopes_parse_back(tr)
+
+
+# pinned when arrays began to be written as base64 little-endian
+# words; the envelopes, events and revealed product are unchanged
 GOLDEN_SHA256 = \
-    "90b1e620ee4664bea75e6c282c4c57dc0a9e2e3e9e0e62692046c4c26af2b9a3"
-GOLDEN_BYTES = 138_364
+    "2c28f60ea7a9b4d9b01178fe97e8c25df4ae2911039ba428616ffb20a1fccaad"
+GOLDEN_BYTES = 92_515
 GOLDEN_MASTER = \
-    "master=3edcae1b918b307a83c73e58a80a32009361f6ec7f87f8c944a5813d020038fd"
+    "master=642e8e050764e67a63a82d39c88293b2f303e30cfdd4aab049e4935c86106e9e"
 
 
 def test_golden_threshold_transcript(tmp_path, capsys):
