@@ -229,13 +229,14 @@ def _parse_complaint(item, workers, shape):
     return None
 
 
-def run_evss_batch(network, adv, scenario, prefix, instances, kinds=None):
+def run_evss_batch(network, adv, scenario, prefix, instances, kind=None):
     """Run many same-shaped instances through five network rounds.
 
-    All instances must share one (degree, value shape); `kinds` maps
-    iid -> a strategy-visible tag. Returns {iid: EvssOutcome}. An
-    instance nobody complained about finishes at the complaint round;
-    the resolve and vote rounds run only when something was contested.
+    All instances must share one (degree, value shape); `kind` is one
+    strategy-visible tag for all of them. Returns {iid: EvssOutcome}.
+    An instance nobody complained about finishes at the complaint
+    round; the resolve and vote rounds run only when something was
+    contested.
     """
     s = scenario
     p = s.p
@@ -249,8 +250,7 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kinds=None):
             raise ParameterViolation("mixed shapes in one batch")
     workers = s.workers
     all_iids = tuple(b.iid for b in instances)
-    registry = {b.iid: {"dealer": b.dealer, "label": b.label,
-                        "kind": (kinds or {}).get(b.iid)}
+    registry = {b.iid: {"dealer": b.dealer, "label": b.label, "kind": kind}
                 for b in instances}
     states = {i: {} for i in workers}
 
@@ -278,7 +278,6 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kinds=None):
                        for jx, j in enumerate(workers) if j != d]
     outboxes = adv.filter(ctx(f"{prefix}:deal"), outboxes)
     inboxes = network.exchange(f"{prefix}:deal", outboxes)
-    adv.observe(f"{prefix}:deal", inboxes)
 
     pair_shape = (d1,) + tuple(shape)
     for i in workers:
@@ -320,7 +319,6 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kinds=None):
                        for jx, j in enumerate(workers) if j != i]
     outboxes = adv.filter(ctx(f"{prefix}:cross"), outboxes)
     inboxes = network.exchange(f"{prefix}:cross", outboxes)
-    adv.observe(f"{prefix}:cross", inboxes)
 
     # recv[i][j] = (position map, U stack, V stack), validated on ingest
     recv = {i: {} for i in workers}
@@ -381,7 +379,6 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kinds=None):
         outboxes[i] = [(BCAST, -1, ("evc", tuple(items)))] if items else []
     outboxes = adv.filter(ctx(f"{prefix}:complain"), outboxes)
     inboxes = network.exchange(f"{prefix}:complain", outboxes)
-    adv.observe(f"{prefix}:complain", inboxes)
 
     complaints = {iid: {} for iid in all_iids}
     for sender, (_, items) in tagged(inboxes[workers[0]], BCAST, "evc", 2):
@@ -411,7 +408,6 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kinds=None):
                 outboxes[b.dealer].append((BCAST, -1, ("evr", items)))
         outboxes = adv.filter(ctx(f"{prefix}:resolve"), outboxes)
         inboxes = network.exchange(f"{prefix}:resolve", outboxes)
-        adv.observe(f"{prefix}:resolve", inboxes)
 
         for sender, (_, items) in tagged(inboxes[workers[0]], BCAST, "evr",
                                          2):
@@ -441,7 +437,6 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kinds=None):
             outboxes[i] = [(BCAST, -1, ("evv", tuple(bits)))]
         outboxes = adv.filter(ctx(f"{prefix}:vote"), outboxes)
         inboxes = network.exchange(f"{prefix}:vote", outboxes)
-        adv.observe(f"{prefix}:vote", inboxes)
 
         for sender, (_, bits) in tagged(inboxes[workers[0]], BCAST, "evv",
                                         2):

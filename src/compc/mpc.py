@@ -19,9 +19,10 @@ families. Each family deals through its own EVSS batch (at m = 1 the
 two families have the same gap and shape and share one), and a dealer
 a batch rejects deals in no later one; all families then share one
 syndrome broadcast and one gap-parity broadcast, so an honest multiply
-takes 3m + 12 rounds for m >= 2 and t >= 1. The masks and the product
-polynomial are dealt through the consistency layer, and each worker
-checks the product relation at its own point. The check only uses
+takes 3m + 12 rounds for m >= 2 and t >= 1. Each worker derives its
+masks and product polynomial from the polynomials it dealt and deals
+them through the consistency layer, and each worker checks the product
+relation at its own point. The check only uses
 sum_l x^(m+l) O_l, so a worker deals its m+t-1 masks as
 G = ceil((m+t-1)/(2m-1)) polynomials of degree
 D = min(2m-1, m+t-1) + t - 1, one per group of at most 2m-1 masks (at
@@ -54,10 +55,10 @@ from .evss import BatchInstance, evss_deal, evss_deal_poly, run_evss_batch
 from .gf import FMatrix, is_field_array, mat_mul
 from .net import (BCAST, PRIV, AdversaryController, Network, Transcript,
                   rng_for, tagged)
-from .poly import MatPoly, coeff_extraction_combo, horner, interpolate
+from .poly import MatPoly, coeff_extraction_combo, horner
 from .sharing import (DIRECT, REVERSE, Share, ShareLabel, make_share_poly,
                       robust_reconstruct)
-from .subroutines import (BAD_PRODUCT, EVSS_REJECTED, ActiveSet, _padded,
+from .subroutines import (BAD_PRODUCT, ActiveSet, _deal_batch, _padded,
                           _record_eliminations, eval_shared_poly,
                           subshare_of_shares, verify_gap_form)
 
@@ -222,15 +223,6 @@ def multiply_semi_honest(a, b, m, t, n, rng=None):
             for jx, j in enumerate(points)}
 
 
-def _points_poly(bundle, honest, p):
-    """The polynomial a dealer actually re-shared, fitted through the
-    first degree+1 honest holders (consistent once the deal was
-    accepted, so any such subset gives the same answer)."""
-    need = bundle.degree_claim + 1
-    pts = [i for i in honest if i in bundle.values][:need]
-    return interpolate(pts, [bundle.values[i] for i in pts], p)
-
-
 def _leg_families(network, adv, scenario, prefix, active, m, value_at,
                   leg="l", lead=()):
     """Verified re-sharing of the lead families and m leg families in
@@ -291,17 +283,12 @@ def multiply_malicious(network, adv, scenario, prefix, active, sa, sb):
         lead=[(f"{prefix}:a", a_vals, dmax, m)])
     a_bundles, b_bundles = bundles[0], bundles[1:]
 
-    # what each surviving dealer actually re-shared, and the masks and
-    # product polynomial it derives from that locally
-    honest = [i for i in active.active if i not in adv.strategies]
+    # each surviving dealer's masks and product polynomial, derived
+    # locally from the polynomials it dealt
     dealers = list(active.active)
-    qa = {n: _points_poly(a_bundles[n], honest, p) for n in dealers}
-    qb = {}
-    for n in dealers:
-        poly = MatPoly.zero(w, w, p)
-        for j in range(m):
-            poly = poly + _points_poly(b_bundles[j][n], honest, p).shift(j)
-        qb[n] = poly
+    qa = {n: a_bundles[n].q for n in dealers}
+    qb = {n: sum((b[n].q.shift(j) for j, b in enumerate(b_bundles)),
+                 MatPoly.zero(w, w, p)) for n in dealers}
     masksets = {n: build_masks(qa[n], qb[n], m, t,
                                rng_for(s.seed, n, f"{prefix}:mask"))
                 for n in dealers}
@@ -322,16 +309,11 @@ def multiply_malicious(network, adv, scenario, prefix, active, sa, sb):
                                          rng_for(s.seed, n,
                                                  f"{prefix}:o{k:02d}")))
             for n, k in tags]
-        outcomes = run_evss_batch(network, adv, s, f"{prefix}:o", instances,
-                                  kinds={b.iid: "odeal" for b in instances})
-        before = set(active.eliminated)
-        for (n, k), b in zip(tags, instances):
-            res = outcomes[b.iid]
-            if res.accepted:
-                o_shares[(n, k)] = res.shares
-            else:
-                active.eliminate(n, EVSS_REJECTED)
-        _record_eliminations(network, f"{prefix}:o", before, active)
+        outcomes = _deal_batch(network, adv, s, f"{prefix}:o", active,
+                               instances, "odeal", f"{prefix}:o")
+        o_shares = {key: outcomes[b.iid].shares
+                    for key, b in zip(tags, instances)
+                    if outcomes[b.iid].accepted}
         dealers = [n for n in dealers if n in active.active]
 
     clab = ShareLabel(m, t, 0, DIRECT)
@@ -340,17 +322,10 @@ def multiply_malicious(network, adv, scenario, prefix, active, sa, sb):
                       evss_deal_poly(cpoly[n], clab,
                                      rng_for(s.seed, n, f"{prefix}:c")))
         for n in dealers]
-    outcomes = run_evss_batch(network, adv, s, f"{prefix}:c", instances,
-                              kinds={b.iid: "cdeal" for b in instances})
-    before = set(active.eliminated)
-    c_shares = {}
-    for n, b in zip(dealers, instances):
-        res = outcomes[b.iid]
-        if res.accepted:
-            c_shares[n] = res.shares
-        else:
-            active.eliminate(n, EVSS_REJECTED)
-    _record_eliminations(network, f"{prefix}:c", before, active)
+    outcomes = _deal_batch(network, adv, s, f"{prefix}:c", active,
+                           instances, "cdeal", f"{prefix}:c")
+    c_shares = {n: outcomes[b.iid].shares for n, b in zip(dealers, instances)
+                if outcomes[b.iid].accepted}
     dealers = [n for n in dealers if n in active.active]
 
     def relation_at(j, point_values):
@@ -440,37 +415,49 @@ def multiply_malicious(network, adv, scenario, prefix, active, sa, sb):
                         z), active
 
 
-def _leg_rows(bundles, live, i):
-    """Party i's values of one leg family, one flat row per live origin."""
-    return np.stack([bundles[o].values[i] for o in live]).reshape(
-        len(live), -1)
-
-
-def _swap_direction(network, adv, scenario, prefix, active, sv, dfrom, dto):
+def _recombined_legs(network, adv, scenario, prefix, active, sv, value_at,
+                     picks):
+    """Re-share every point of sv under m legs (leg j re-shares
+    value_at(j, party) with gap m-1-j) and recombine them: leg j
+    contributes extraction rows picks[j], row r extracting coefficient
+    r over the survivors, and the legs are summed by Horner at each
+    survivor's point. Returns ({party: (z, z/m) share}, active)."""
     s, p = scenario, scenario.p
-    lab = sv.label
-    if lab.dir != dfrom or lab.delta:
-        raise ParameterViolation(f"expected a zero-gap {dfrom} sharing")
-    m, t = lab.m, lab.t
-    out_label = ShareLabel(m, t, 0, dto)
-    if m == 1:
-        # one block: both orders read the same polynomial
-        return SharedMatrix(out_label, dict(sv.shares), sv.z), active
+    m, t = sv.label.m, sv.label.t
     z, w = sv.z, sv.z // m
-    bundles, active = _leg_families(
-        network, adv, s, prefix, active, m, lambda j, i: _held(sv, i))
+    bundles, active = _leg_families(network, adv, s, prefix, active, m,
+                                    value_at)
     live = active.active
     if len(live) < m + t:
         raise TooFewSurvivors(
             f"{len(live)} survivors cannot rebuild degree {m + t - 1}")
-    # row j extracts input coefficient m-1-j, which leg j carries
-    lam = np.array([coeff_extraction_combo(live, m + t - 1, m - 1 - j, p)
-                    for j in range(m)])
+    lam = np.array([coeff_extraction_combo(live, m + t - 1, r, p)
+                    for r in range(m)])
     out = {}
     for i in live:
-        g = np.stack([mat_mul(lam[j:j + 1], _leg_rows(bundles[j], live, i), p)
-                      for j in range(m)])
+        # g[j] = leg j's picked extractions, one flat row each
+        g = np.stack([
+            mat_mul(lam[picks[j]],
+                    np.stack([bundles[j][o].values[i] for o in live])
+                    .reshape(len(live), -1), p)
+            for j in range(m)])
         out[i] = horner(g.reshape(m, z, w), [i], p)[0]
+    return out, active
+
+
+def _swap_direction(network, adv, scenario, prefix, active, sv, dfrom, dto):
+    lab = sv.label
+    if lab.dir != dfrom or lab.delta:
+        raise ParameterViolation(f"expected a zero-gap {dfrom} sharing")
+    m = lab.m
+    out_label = ShareLabel(m, lab.t, 0, dto)
+    if m == 1:
+        # one block: both orders read the same polynomial
+        return SharedMatrix(out_label, dict(sv.shares), sv.z), active
+    # leg j carries input coefficient m-1-j, which is output position j
+    out, active = _recombined_legs(
+        network, adv, scenario, prefix, active, sv,
+        lambda j, i: _held(sv, i), [[m - 1 - j] for j in range(m)])
     return SharedMatrix(out_label, out, sv.z), active
 
 
@@ -494,31 +481,20 @@ def transpose_shares(network, adv, scenario, prefix, active, sv):
     row piece i and the output piece (r, i) extracts coefficient r
     from family i. With m = 1 transposing the share is enough.
     """
-    s, p = scenario, scenario.p
     lab = sv.label
     if lab.dir != DIRECT or lab.delta:
         raise ParameterViolation("expected a zero-gap direct sharing")
-    m, t = lab.m, lab.t
+    m = lab.m
     if m == 1:
         out = {i: _held(sv, i).T.copy() for i in active.active}
         return SharedMatrix(lab, out, sv.z), active
-    z, w = sv.z, sv.z // m
-    bundles, active = _leg_families(
-        network, adv, s, prefix, active, m,
-        lambda j, i: _held(sv, i)[j * w:(j + 1) * w].T.copy())
-    live = active.active
-    if len(live) < m + t:
-        raise TooFewSurvivors(
-            f"{len(live)} survivors cannot rebuild degree {m + t - 1}")
-    lam = np.array([coeff_extraction_combo(live, m + t - 1, r, p)
-                    for r in range(m)])
-    out = {}
-    for i in live:
-        # g[fam, r] extracts coefficient r of family fam; output block r
-        # is sum_fam i^fam g[fam, r]
-        g = np.stack([mat_mul(lam, _leg_rows(bundles[fam], live, i), p)
-                      for fam in range(m)])
-        out[i] = horner(g.reshape(m, m * w, w), [i], p)[0]
+    w = sv.z // m
+    # every leg takes all m extraction rows: output block r is
+    # sum_fam i^fam (row r of family fam)
+    out, active = _recombined_legs(
+        network, adv, scenario, prefix, active, sv,
+        lambda j, i: _held(sv, i)[j * w:(j + 1) * w].T.copy(),
+        [slice(None)] * m)
     return SharedMatrix(lab, out, sv.z), active
 
 

@@ -17,6 +17,7 @@ at alpha_n = n), N+1.. are input sources.
 """
 
 import hashlib
+import re
 from binascii import b2a_base64
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -99,13 +100,27 @@ class Envelope(NamedTuple):
     payload: tuple
 
 
+_NAME = r"[A-Za-z][A-Za-z0-9_:.\-]*"
+_NAMES = re.compile(f"{_NAME}(?:;{_NAME})*")
+
+
+def _names(text, count):
+    """text as bytes; refused unless it is `count` names joined by ";"."""
+    if count and (text.count(";") != count - 1
+                  or not _NAMES.fullmatch(text)):
+        raise TypeError(f"unserializable string {text!r}")
+    return text.encode()
+
+
 def _write(buf, obj):
     """Append the canonical, unambiguous text form of a payload tree
     to buf (a bytearray); see "Transcript format" in README.md.
 
     An integer array whose entries all lie in [0, 2**32), as every
     field array does, is written as base64 of its little-endian uint32
-    words; any other array keeps the decimal form."""
+    words; any other array keeps the decimal form. A string must be a
+    name: an ASCII letter, then letters, digits and _:.- only, so that
+    none reads as a number, "~", an empty element or two elements."""
     if isinstance(obj, np.ndarray):
         buf += f"[{','.join(map(str, obj.shape))}".encode()
         words = obj.astype("<u4") if obj.dtype.kind in "iu" else None
@@ -118,13 +133,15 @@ def _write(buf, obj):
         buf += b"]"
     elif isinstance(obj, (tuple, list)):
         try:    # instance-id tuples: all strings, one join
-            buf += f"({';'.join(obj)})".encode()
+            text = ";".join(obj)
         except TypeError:
             buf += b"("
             _write_all(buf, obj, b";")
             buf += b")"
+        else:
+            buf += b"(" + _names(text, len(obj)) + b")"
     elif isinstance(obj, str):
-        buf += obj.encode()
+        buf += _names(obj, 1)
     elif isinstance(obj, (int, np.integer)):
         buf += str(int(obj)).encode()
     elif obj is None:
@@ -423,11 +440,12 @@ _STRATEGY_CLASSES = {
 
 
 class AdversaryController:
-    """Owns strategy instances and their shared (colluding) state."""
+    """Owns strategy instances and their shared (colluding) state.
+    filter, the engine's only contact with it, lets each strategy
+    rewrite its own party's outbox; nothing reads who is corrupt."""
 
     def __init__(self, scenario):
-        self.shared = {"p": scenario.p, "views": {},
-                       "coalition": scenario.adversary_ids}
+        self.shared = {"p": scenario.p, "coalition": scenario.adversary_ids}
         self.strategies = {}
         for party, name in scenario.adversaries:
             rng = rng_for(scenario.seed, party, f"adversary:{name}")
@@ -441,13 +459,6 @@ class AdversaryController:
                 ctx["own_state"] = ctx.get("states", {}).get(party, {})
                 outboxes[party] = strat.act(ctx, outboxes[party])
         return outboxes
-
-    def observe(self, phase, inboxes):
-        # colluders pool everything they receive
-        for party in self.strategies:
-            if party in inboxes and inboxes[party]:
-                self.shared["views"].setdefault(phase, {})[party] = \
-                    inboxes[party]
 
 
 def run_scenario(scenario):

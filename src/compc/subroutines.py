@@ -49,12 +49,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DecodingFailure, ParameterViolation, TooFewSurvivors)
-from .evss import BatchInstance, evss_deal, run_evss_batch
+from .evss import BatchInstance, evss_deal_poly, run_evss_batch
 from .gf import FMatrix, is_field_array, mat_mul
 from .net import BCAST, rng_for, tagged
 from .poly import lagrange_coeffs, vandermonde
 from .rscode import build_code, decode, syndrome_decode
-from .sharing import ShareLabel
+from .sharing import ShareLabel, make_share_poly
 
 BAD_SUBSHARE = "BadSubshareValue"
 BAD_GAP = "BadGapForm"
@@ -99,12 +99,28 @@ class SubshareBundle(NamedTuple):
     zeta: int
     degree_claim: int
     g: dict             # recipient -> (d+1, r, c) coeffs of S_origin(alpha, y)
+    q: object           # the MatPoly Q_origin the origin dealt
 
 
 def _record_eliminations(network, phase, before, active):
     for party, reason in sorted(active.eliminated.items()):
         if party not in before:
             network.transcript.add_event("eliminate", phase, party, reason)
+
+
+def _deal_batch(network, adv, scenario, phase, active, instances, kind,
+                record_as):
+    """Run one EVSS batch on `phase`, eliminate every dealer it rejects
+    with EvssRejectedDealer and record those eliminations under
+    record_as. Returns {iid: EvssOutcome}."""
+    before = set(active.eliminated)
+    outcomes = run_evss_batch(network, adv, scenario, phase, instances,
+                              kind=kind)
+    for b in instances:
+        if not outcomes[b.iid].accepted:
+            active.eliminate(b.dealer, EVSS_REJECTED)
+    _record_eliminations(network, record_as, before, active)
+    return outcomes
 
 
 def _broadcast_rows(network, adv, scenario, phase, live, rows, shapes):
@@ -125,7 +141,6 @@ def _broadcast_rows(network, adv, scenario, phase, live, rows, shapes):
            "scenario": scenario}
     outboxes = adv.filter(ctx, outboxes)
     inboxes = network.exchange(phase, outboxes)
-    adv.observe(phase, inboxes)
 
     got = [{} for _ in shapes]
     for sender, (_, body) in tagged(inboxes[0], BCAST, "stm", 2):
@@ -168,9 +183,10 @@ def shares_times_matrix(network, adv, scenario, phase, active, parts,
     as zero. hpub: (len(origins), k). Returns one (k,) + shape result
     per part, the same for every honest party. Each column is decoded
     at the part's degree; rows further than e_max errors from a
-    codeword abort with DecodingFailure. A corrected row eliminates
-    nobody: its sender is recorded as a ("correct", phase, party)
-    event.
+    codeword abort with DecodingFailure, and fewer than
+    degree + 1 + 2 e_max live parties with TooFewSurvivors. A
+    corrected row eliminates nobody: its sender is recorded as a
+    ("correct", phase, party) event.
     """
     p = scenario.p
     live = active.active
@@ -187,6 +203,7 @@ def shares_times_matrix(network, adv, scenario, phase, active, parts,
     out = []
     corrected = set()
     for (_, _, _, degree, _), word in zip(parts, words):
+        active.require(degree + 1 + 2 * e_max)
         res = np.zeros(word.shape[1:], dtype=np.int64)
         for col in range(res.shape[0]):
             poly, errs = decode(degree, live, word[:, col], e_max, p)
@@ -199,8 +216,7 @@ def shares_times_matrix(network, adv, scenario, phase, active, parts,
     return out
 
 
-def subshare_of_shares(network, adv, scenario, prefix, active, families,
-                       kind="subshare"):
+def subshare_of_shares(network, adv, scenario, prefix, active, families):
     """Verified re-sharing of every active party's share of several F.
 
     families: [(tag, f_values, p_deg, zeta)], f_values {party: (r, c)
@@ -217,7 +233,7 @@ def subshare_of_shares(network, adv, scenario, prefix, active, families,
     every error position is eliminated with BadSubshareValue. Returns
     ([{origin: SubshareBundle} per family], active); each bundle keeps
     every party's g polynomial of the origin's deal for
-    verify_gap_form.
+    verify_gap_form, and the polynomial Q_n the origin dealt.
     """
     s, p, t = scenario, scenario.p, scenario.t
     shapes = [np.shape(vals[active.active[0]]) for _, vals, _, _ in families]
@@ -228,7 +244,6 @@ def subshare_of_shares(network, adv, scenario, prefix, active, families,
     bundles = [{} for _ in families]
     for (zeta, shape), members in groups.items():
         live = active.active
-        before = set(active.eliminated)
         lab = ShareLabel(1, t, zeta - 1)
         owner = {}
         instances = []
@@ -237,24 +252,22 @@ def subshare_of_shares(network, adv, scenario, prefix, active, families,
             for n in live:
                 iid = f"q{n:03d}" if len(members) == 1 \
                     else f"q{n:03d}f{fx:02d}"
-                owner[iid] = (fx, n)
+                rng = rng_for(s.seed, n, f"{tag}:q")
+                q = make_share_poly(FMatrix(np.asarray(f_values[n]), p),
+                                    lab, rng)
+                owner[iid] = (fx, n, q)
                 instances.append(BatchInstance(
-                    iid, n, lab,
-                    evss_deal(FMatrix(np.asarray(f_values[n]), p), lab,
-                              rng_for(s.seed, n, f"{tag}:q"))))
+                    iid, n, lab, evss_deal_poly(q, lab, rng)))
         tag = families[members[0]][0]
-        outcomes = run_evss_batch(network, adv, s, f"{tag}:q", instances,
-                                  kinds={b.iid: kind for b in instances})
+        outcomes = _deal_batch(network, adv, s, f"{tag}:q", active,
+                               instances, "subshare", tag)
         zero = np.zeros(shape, dtype=np.int64)
-        for iid, (fx, n) in owner.items():
+        for iid, (fx, n, q) in owner.items():
             res = outcomes[iid]
-            if not res.accepted:
-                active.eliminate(n, EVSS_REJECTED)
             vals = {j: zero if res.shares[j] is None else res.shares[j]
                     for j in live}
             bundles[fx][n] = SubshareBundle(n, vals, zeta, zeta + t - 1,
-                                            res.g)
-        _record_eliminations(network, tag, before, active)
+                                            res.g, q)
 
     live = active.active
     before = set(active.eliminated)

@@ -360,11 +360,13 @@ def gap_view(n, t, m, p, secret, draws, leak):
     if leak:
         coeffs[1] = (coeffs[1] + secret) % p
     grid = np.concatenate([np.zeros(d1, dtype=np.int64), draws[t:]])
-    deal = evss_deal_poly(MatPoly(coeffs, p), lab, ScriptedRng(grid))
+    dealt = MatPoly(coeffs, p)
+    deal = evss_deal_poly(dealt, lab, ScriptedRng(grid))
     s = Scenario(n=n, t=t, m=m, p=p, seed=0, z=m, program=()).validate()
     pairs = [deal.polys_for(j) for j in s.workers]
     bundle = SubshareBundle(1, {j: f[0] for j, (f, _) in zip(s.workers, pairs)},
-                            m, d1 - 1, {j: g for j, (_, g) in zip(s.workers, pairs)})
+                            m, d1 - 1, {j: g for j, (_, g) in zip(s.workers, pairs)},
+                            dealt)
     net = Network(s, Transcript())
     verify_gap_form(net, AdversaryController(s), s, "gap",
                     ActiveSet(s.workers), [{1: bundle}])

@@ -479,7 +479,7 @@ def test_batch_agrees_with_state_machine(adversary, dealer, seed):
                      rng_for(s.seed, dealer, "x:deal"))
     out = run_evss_batch(net, adv, s, "x",
                          [BatchInstance("q", dealer, lab, deal)],
-                         kinds={"q": "subshare"})["q"]
+                         kind="subshare")["q"]
 
     verdicts = replay_single_instance(
         net.transcript.envelopes, "q", s.n, s.t, lab, (2, 2), 13,

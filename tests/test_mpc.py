@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from compc.errors import (CompcError, DegreeMismatch, ParameterViolation,
                           TooFewSurvivors)
+from compc import mpc
 from compc.gf import FMatrix, mat_mul
 from compc.mpc import (MaskSet, ProgramOp, SharedMatrix, add_shares,
                        build_masks, direct_to_reverse, execute,
@@ -642,7 +643,9 @@ def test_program_with_adversary_matches_oracle(name):
 @pytest.mark.parametrize("m, t", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_beyond_the_threshold_never_returns_a_wrong_product(m, t):
     """One worker short of N = 3t + 2m - 1, with each strategy at party
-    2: every run returns exactly A.B^T or raises a typed error."""
+    2: every run returns exactly A.B^T or raises a typed run-time
+    error. The scenario was admitted, so a ParameterViolation (a
+    configuration error) must not surface in the middle of the run."""
     p, n, z = 97, 3 * t + 2 * m - 2, 2 * m
     program = (ProgramOp("share", (0, DIRECT), "a"),
                ProgramOp("share", (1, REVERSE), "b"),
@@ -658,10 +661,38 @@ def test_beyond_the_threshold_never_returns_a_wrong_product(m, t):
                          sub_threshold=True)
             try:
                 tr = run_scenario(s)
+            except ParameterViolation as e:
+                pytest.fail(f"m={m} t={t} {name} seed={seed}: {e!r}")
             except CompcError:
                 continue
             assert np.array_equal(tr.master_output.a, xs[0] @ xs[1].T % p), \
                 f"wrong product: m={m} t={t} {name} seed={seed}"
+
+
+class FilterOnly:
+    """The adversary as the engine may see it: filter and nothing else."""
+
+    def __init__(self, scenario):
+        self.filter = AdversaryController(scenario).filter
+
+
+@pytest.mark.parametrize("name", STRATEGY_NAMES)
+def test_the_engine_reaches_the_adversary_only_through_filter(name,
+                                                              monkeypatch):
+    p, m, t, n, z = 97, 2, 2, 11, 4
+    rng = np.random.default_rng(36)
+    xs = [rng.integers(0, p, size=(z, z)) for _ in range(2)]
+    program = [ProgramOp("share", (0, DIRECT), "a"),
+               ProgramOp("share", (1, DIRECT), "b0"),
+               ProgramOp("d2r", ("b0",), "b"),
+               ProgramOp("mul", ("a", "b"), "c"),
+               ProgramOp("transpose", ("c",), "d"),
+               ProgramOp("reveal", ("d",))]
+    s = program_scenario(n, t, m, z, p, 7, xs, program,
+                         adversaries=((3, name), (8, name)))
+    want = execute(s).serialize()
+    monkeypatch.setattr(mpc, "AdversaryController", FilterOnly)
+    assert execute(s).serialize() == want
 
 
 def test_execute_is_deterministic():

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from compc.errors import (DecodingFailure, ParameterViolation,
                           TooFewSurvivors)
-from compc.evss import evss_deal
+from compc.evss import evss_deal_poly
 from compc.gf import FMatrix
 from compc.net import AdversaryController, Network, Scenario, Transcript
 from compc.poly import horner
-from compc.sharing import ShareLabel
+from compc.sharing import ShareLabel, make_share_poly
 from compc.subroutines import (ActiveSet, BAD_GAP, BAD_SUBSHARE,
                                EVSS_REJECTED, SubshareBundle,
                                eval_shared_poly, shares_times_matrix,
@@ -41,12 +41,13 @@ def honest_bundles(live, f_vals, zeta, t, p, seed=11):
     lab = ShareLabel(1, t, zeta - 1)
     out = {}
     for n in live:
-        deal = evss_deal(FMatrix(f_vals[n], p), lab,
-                         np.random.default_rng(seed + n))
+        rng = np.random.default_rng(seed + n)
+        q = make_share_poly(FMatrix(f_vals[n], p), lab, rng)
+        deal = evss_deal_poly(q, lab, rng)
         pairs = {j: deal.polys_for(j) for j in live}
         out[n] = SubshareBundle(n, {j: f[0] for j, (f, _) in pairs.items()},
                                 zeta, zeta + t - 1,
-                                {j: g for j, (_, g) in pairs.items()})
+                                {j: g for j, (_, g) in pairs.items()}, q)
     return out
 
 

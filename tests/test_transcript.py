@@ -4,8 +4,9 @@
 base64 of its little-endian uint32 words and any other array in
 decimal; both must give exactly the text of the reference encoder in
 `transcript_ref.py`, which builds the text one element at a time, and
-real transcripts must parse back into their payloads. The golden test
-pins the whole format on a real adversarial run.
+real transcripts must parse back into their payloads. Strings must be
+names, so that no two payloads share a text. The golden test pins the
+whole format on a real adversarial run.
 """
 
 import hashlib
@@ -24,7 +25,7 @@ from compc.gf import DEFAULT_PRIME, FMatrix
 from compc.mpc import ProgramOp
 from compc.net import (BCAST, PRIV, Envelope, Scenario, Transcript, encode,
                        run_scenario)
-from transcript_ref import (parse_envelope_line, parse_value,
+from transcript_ref import (NAME, parse_envelope_line, parse_value,
                             ref_envelope_line, ref_ser, ref_serialize)
 
 THRESHOLD_SCN = Path(__file__).resolve().parent.parent / "scenarios" \
@@ -56,20 +57,34 @@ def scenario(n, t, m, p, inputs, program, adversaries=()):
 
 
 arrays = int64_arrays() | st.builds(np.int64, signed).map(np.array)
-leaves = (arrays | st.text() | st.integers() | st.builds(np.int64, signed)
+# mostly names, which the encoder writes, and some arbitrary text,
+# which both encoders refuse
+strings = st.from_regex(NAME, fullmatch=True) | st.text()
+leaves = (arrays | strings | st.integers() | st.builds(np.int64, signed)
           | st.none())
 trees = st.recursive(
     leaves,
     lambda kids: st.lists(kids, max_size=4)
     | st.lists(kids, max_size=4).map(tuple)
-    | st.lists(st.text(), max_size=4).map(tuple),
+    | st.lists(strings, max_size=4).map(tuple),
     max_leaves=12)
+
+
+def agree(ours, reference, arg):
+    """ours(arg) equals reference(arg), or both raise TypeError."""
+    try:
+        want = reference(arg)
+    except TypeError:
+        with pytest.raises(TypeError):
+            ours(arg)
+        return
+    assert ours(arg) == want
 
 
 @settings(max_examples=300, deadline=None)
 @given(trees)
 def test_encoder_matches_reference(tree):
-    assert encode(tree) == ref_ser(tree).encode()
+    agree(encode, lambda x: ref_ser(x).encode(), tree)
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -128,6 +143,39 @@ def test_unknown_elements_are_refused(bad):
         encode(bad)
 
 
+@pytest.mark.parametrize("refused, kept, text", [
+    (("a;b",), ("a", "b"), b"(a;b)"),
+    (("",), (), b"()"),
+    (("12",), (12,), b"(12)"),
+    (("~",), (None,), b"(~)"),
+    (("(a)",), (("a",),), b"((a))"),
+])
+def test_strings_that_would_collide_are_refused(refused, kept, text):
+    """Written as they are, the refused strings would give the text of
+    the kept payload."""
+    assert encode(kept) == ref_ser(kept).encode() == text
+    with pytest.raises(TypeError):
+        encode(refused)
+
+
+@pytest.mark.parametrize("bad", [
+    "", "1a", "_a", "-a", ".a", ":a", " a", "a b", "a|b", "a;b", "a(b",
+    "a)", "a[0]", "a#", "a~", "a,b", "\u00e9", "a\u00e9", "a\n", "~"])
+def test_strings_that_are_not_names_are_refused(bad):
+    for tree in (bad, (bad,), ("ok", bad), (bad, "ok"), ("ok", 1, bad),
+                 [bad]):
+        with pytest.raises(TypeError):
+            encode(tree)
+        with pytest.raises(TypeError):
+            ref_ser(tree)
+
+
+def test_names_are_written_as_they_are():
+    names = ("a", "Z", "r2mul:res00", "q001f02", "A-b.c_d:9")
+    assert encode(names) == b"(a;Z;r2mul:res00;q001f02;A-b.c_d:9)"
+    assert encode(("evc", (("c001", "self"),))) == b"(evc;((c001;self)))"
+
+
 envelopes = st.builds(
     Envelope, st.integers(0, 500), st.integers(0, 30),
     st.sampled_from([BCAST, PRIV]), st.integers(-1, 30),
@@ -143,7 +191,7 @@ def test_serialize_matches_reference(envs, events, abort, master):
     tr = Transcript(envelopes=list(envs), events=list(events), abort=abort,
                     master_output=None if master is None
                     else types.SimpleNamespace(a=master))
-    assert tr.serialize() == ref_serialize(tr)
+    agree(Transcript.serialize, ref_serialize, tr)
 
 
 def test_empty_transcript_is_one_newline():

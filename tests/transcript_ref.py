@@ -17,11 +17,16 @@ import numpy as np
 from compc.net import BCAST
 
 
+NAME = re.compile(r"[A-Za-z][A-Za-z0-9_:.\-]*")
+
+
 def ref_ser(obj):
     """Canonical, unambiguous text form for payload trees."""
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, str):
+        if not NAME.fullmatch(obj):
+            raise TypeError(f"unserializable string {obj!r}")
         return obj
     if obj is None:
         return "~"
