@@ -20,7 +20,6 @@ import hashlib
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,21 +42,6 @@ _OPS = {
     "R2D": ("r2d", 1, True),
     "REVEAL": ("reveal", 1, False),
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    scenario: str = ""
-    out: str = ""
-    n: int = None
-    t: int = None
-    m: int = None
-    prime: int = None
-    seed: int = None
-    strategy: str = ""
-    grid: str = ""
-    samples: int = 2000
 
 
 class ConfigError(Exception):
@@ -125,29 +109,30 @@ def parse_scenario_text(text):
     return settings, tuple(adversaries), inputs, tuple(program)
 
 
-def load_scenario(config):
+def load_scenario(args):
+    """The Scenario that `compc run` with these parsed options runs."""
     try:
-        with open(config.scenario, encoding="utf-8") as fh:
+        with open(args.scenario, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read scenario: {exc}") from exc
     settings, adversaries, raw_inputs, program = parse_scenario_text(text)
     for field in ("n", "t", "m", "prime", "seed"):
-        override = getattr(config, field)
+        override = getattr(args, field)
         if override is not None:
             settings[field] = override
     for field in ("n", "t", "m", "z"):
         if field not in settings:
             raise ConfigError(f"scenario is missing {field}")
-    if config.strategy:
-        if config.strategy not in STRATEGY_NAMES:
-            raise ConfigError(f"unknown strategy {config.strategy!r}")
+    if args.strategy:
+        if args.strategy not in STRATEGY_NAMES:
+            raise ConfigError(f"unknown strategy {args.strategy!r}")
         if adversaries:
-            adversaries = tuple((party, config.strategy)
+            adversaries = tuple((party, args.strategy)
                                 for party, _ in adversaries)
         else:
             last = settings["n"]
-            adversaries = tuple((last - i, config.strategy)
+            adversaries = tuple((last - i, args.strategy)
                                 for i in range(settings["t"]))
     p = settings["prime"]
     inputs = tuple(FMatrix(rows, p) for rows in raw_inputs)
@@ -216,9 +201,9 @@ def _emit(lines, out_path):
             fh.write(text)
 
 
-def cmd_run(config):
-    scenario = load_scenario(config)
-    name = os.path.splitext(os.path.basename(config.scenario))[0]
+def cmd_run(args):
+    scenario = load_scenario(args)
+    name = os.path.splitext(os.path.basename(args.scenario))[0]
     try:
         transcript = run_scenario(scenario)
     except ParameterViolation:
@@ -229,7 +214,7 @@ def cmd_run(config):
                 f"m={scenario.m} p={scenario.p} seed={scenario.seed} "
                 f"correct=false abort={exc.__class__.__name__} "
                 f"eliminations=- master=-")
-        _emit([line], config.out)
+        _emit([line], args.out)
         return ABORT
     expected = direct_eval(scenario.program, scenario.inputs, scenario.p)
     master = transcript.master_output
@@ -244,9 +229,9 @@ def cmd_run(config):
             f"m={scenario.m} p={scenario.p} seed={scenario.seed} "
             f"correct={'true' if correct else 'false'} abort=- "
             f"eliminations={elim_txt} master={digest}")
-    _emit([line], config.out)
-    if config.out:
-        with open(config.out + ".transcript", "w", encoding="utf-8") as fh:
+    _emit([line], args.out)
+    if args.out:
+        with open(args.out + ".transcript", "w", encoding="utf-8") as fh:
             fh.write(transcript.serialize())
     return OK if correct else 1
 
@@ -318,10 +303,9 @@ def _sweep_cell(cell, base_seed):
             f"wall_ms={wall_ms:.1f}")
 
 
-def cmd_sweep(config):
-    cells = _parse_sweep_grid(config.grid)
-    base_seed = config.seed if config.seed is not None else 0
-    _emit([_sweep_cell(cell, base_seed) for cell in cells], config.out)
+def cmd_sweep(args):
+    cells = _parse_sweep_grid(args.grid)
+    _emit([_sweep_cell(cell, args.seed) for cell in cells], args.out)
     return OK
 
 
@@ -385,58 +369,48 @@ def _audit_case(token, samples, seed):
 DEFAULT_AUDIT_GRID = "sharing-m1,sharing-m2,product-wide"
 
 
-def cmd_audit(config):
-    grid = config.grid if config.grid is not None else DEFAULT_AUDIT_GRID
-    tokens = [tok.strip() for tok in grid.split(",") if tok.strip()]
-    seed = config.seed if config.seed is not None else 0
+def cmd_audit(args):
+    tokens = [tok.strip() for tok in args.grid.split(",") if tok.strip()]
     lines, leaky_any = [], False
     for token in tokens:
-        for line, leaky in _audit_case(token, config.samples, seed):
+        for line, leaky in _audit_case(token, args.samples, args.seed):
             lines.append(line)
             leaky_any = leaky_any or leaky
-    _emit(lines, config.out)
+    _emit(lines, args.out)
     return LEAKY if leaky_any else OK
 
 
 def build_parser():
+    """One subparser per command, each with only the options it reads."""
     parser = argparse.ArgumentParser(
         prog="compc",
         description="Coded MPC scenario runner, threshold sweep, and audits")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    specs = {
-        "run": "execute one scenario file and judge the output",
-        "sweep": "grid of (m, t, strategy) cells at N = 3t+2m-1",
-        "audit": "exact and sampled leakage audits",
-    }
-    for name, help_text in specs.items():
-        cmd = sub.add_parser(name, help=help_text)
-        if name == "run":
-            cmd.add_argument("--scenario", required=True)
+    run = sub.add_parser("run",
+                         help="execute one scenario file and judge the output")
+    run.add_argument("--scenario", required=True)
+    for name in ("seed", "n", "t", "m", "prime"):
+        run.add_argument(f"--{name}", type=int, default=None)
+    run.add_argument("--strategy", default="")
+    sweep = sub.add_parser("sweep",
+                           help="grid of (m, t, strategy) cells at N = 3t+2m-1")
+    sweep.add_argument("--grid", default="")
+    sweep.add_argument("--seed", type=int, default=0)
+    audit = sub.add_parser("audit", help="exact and sampled leakage audits")
+    audit.add_argument("--grid", default=DEFAULT_AUDIT_GRID)
+    audit.add_argument("--seed", type=int, default=0)
+    audit.add_argument("--samples", type=int, default=2000)
+    for cmd in (run, sweep, audit):
         cmd.add_argument("--out", default="")
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--n", type=int, default=None)
-        cmd.add_argument("--t", type=int, default=None)
-        cmd.add_argument("--m", type=int, default=None)
-        cmd.add_argument("--prime", type=int, default=None)
-        cmd.add_argument("--strategy", default="")
-        cmd.add_argument("--grid", default=None)
-        cmd.add_argument("--samples", type=int, default=2000)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(subcommand=args.subcommand,
-                       scenario=getattr(args, "scenario", ""),
-                       out=args.out, n=args.n, t=args.t, m=args.m,
-                       prime=args.prime, seed=args.seed,
-                       strategy=args.strategy, grid=args.grid,
-                       samples=args.samples)
+    args = build_parser().parse_args(argv)
     handler = {"run": cmd_run, "sweep": cmd_sweep,
-               "audit": cmd_audit}[config.subcommand]
+               "audit": cmd_audit}[args.subcommand]
     try:
-        return handler(config)
+        return handler(args)
     except (ConfigError, ParameterViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR

@@ -216,15 +216,14 @@ class EvssOutcome(NamedTuple):
     g: dict         # worker -> (d+1, rows, cols) coeffs of g_i, or None
 
 
-def _parse_complaint(item, workers, shape):
-    """Validate a broadcast complaint item; None when malformed."""
+def _parse_complaint(item, workers, shape, p):
+    """Validate a broadcast complaint item; None when malformed. A
+    claimed value that is not a field array of `shape` becomes None."""
     if item[0] == "self" and len(item) == 1:
         return ("self",)
     if item[0] == "pair" and len(item) == 4 and item[1] in workers:
-        u = item[2] if isinstance(item[2], np.ndarray) \
-            and item[2].shape == tuple(shape) else None
-        v = item[3] if isinstance(item[3], np.ndarray) \
-            and item[3].shape == tuple(shape) else None
+        u, v = (x if is_field_array(x, shape, p) else None
+                for x in item[2:])
         return ("pair", item[1], u, v)
     return None
 
@@ -279,27 +278,18 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kind=None):
     outboxes = adv.filter(ctx(f"{prefix}:deal"), outboxes)
     inboxes = network.exchange(f"{prefix}:deal", outboxes)
 
+    # a malformed stack is dropped whole: its recipient self-complains
     pair_shape = (d1,) + tuple(shape)
     for i in workers:
         for sender, (_, iids, fs, gs) in tagged(inboxes[i], PRIV, "evd", 4):
-            if not isinstance(iids, tuple):
+            if not (isinstance(iids, tuple)
+                    and is_field_array(fs, (len(iids),) + pair_shape, p)
+                    and is_field_array(gs, (len(iids),) + pair_shape, p)):
                 continue
-            whole = is_field_array(fs, (len(iids),) + pair_shape, p) \
-                and is_field_array(gs, (len(iids),) + pair_shape, p)
             for k, iid in enumerate(iids):
-                if iid not in registry or registry[iid]["dealer"] != sender:
-                    continue
-                if iid in states[i]:
-                    continue
-                if whole:
+                if iid in registry and registry[iid]["dealer"] == sender \
+                        and iid not in states[i]:
                     states[i][iid] = (fs[k], gs[k])
-                else:
-                    try:
-                        pair = (fs[k], gs[k])
-                    except Exception:
-                        continue
-                    if _well_formed(pair, d1, shape, p):
-                        states[i][iid] = pair
 
     # round 2: cross evaluations for every held instance
     outboxes = {}
@@ -390,7 +380,7 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kind=None):
             iid = item[0]
             if iid not in complaints:
                 continue
-            parsed = _parse_complaint(item[1:], workers, shape)
+            parsed = _parse_complaint(item[1:], workers, shape, p)
             if parsed is not None:
                 complaints[iid].setdefault(sender, []).append(parsed)
     flagged = [b for b in instances if complaints[b.iid]]

@@ -7,15 +7,12 @@ Contiguous exponent sets {0..d} give the classic polynomial-evaluation
 code; gapped sets (forced-zero interior coefficients) appear when share
 polynomials carry a zero run between data and mask coefficients.
 
-Decoding is Berlekamp-Welch: find a nonzero pair (Q, E) with
-deg E <= e_max, deg Q <= d_f + e_max and Q(x_i) = y_i * E(x_i) at every
-point; then f = Q / E exactly. Any nonzero solution of the linear
-system yields the same ratio, and a zero E part would force Q to vanish
-at more points than its degree allows, so the first nullspace basis
-vector always works. Matrix-valued words are decoded by a pilot entry
-first, with the candidate error set verified across all entries; if the
-pilot misses errors that other entries have, a per-entry fallback
-unions the error positions.
+Decoding corrects up to e_max wrong rows of a word. The errors of a
+matrix-valued word belong to the parties that sent its rows, so all
+entries share one error support, and decode finds it with one error
+locator for the whole word: interleaved Reed-Solomon decoding
+(Bleichenbacher, Kiayias and Yung, ICALP 2003). syndrome_decode
+reduces attributing a syndrome to ordinary decoding.
 
 Failure is surfaced as DecodingFailure and is always an abort signal:
 no best-effort answer is ever returned.
@@ -24,7 +21,7 @@ no best-effort answer is ever returned.
 import numpy as np
 
 from .errors import DecodingFailure, ParameterViolation
-from .gf import arr, fe_inv, nullspace_raw, solve_particular
+from .gf import arr, mat_mul, nullspace_raw, solve_particular
 from .poly import MatPoly, vandermonde
 
 
@@ -77,62 +74,9 @@ def build_code(alphas, exps, p):
     return RSCode(alphas, exps, p)
 
 
-def _polydiv_exact(num, den, p):
-    """Quotient of num/den as a coefficient list, or None if inexact."""
-    num = [int(x) % p for x in num]
-    den = [int(x) % p for x in den]
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        return None
-    inv_lead = fe_inv(den[-1], p)
-    q = [0] * max(len(num) - len(den) + 1, 0)
-    rem = list(num)
-    for k in range(len(q) - 1, -1, -1):
-        coef = rem[len(den) + k - 1] * inv_lead % p
-        q[k] = coef
-        if coef:
-            for i, d in enumerate(den):
-                rem[i + k] = (rem[i + k] - coef * d) % p
-    if any(rem):
-        return None
-    return q
-
-
-def _bw_scalar(xs, ys, d_f, e_max, p):
-    """Berlekamp-Welch for one scalar word.
-
-    Returns (coeff list, mismatch index set); raises DecodingFailure
-    when the word is not within e_max of any degree-d_f codeword.
-    """
-    n = len(xs)
-    vq = vandermonde(xs, d_f + e_max + 1, p)
-    ve = vandermonde(xs, e_max + 1, p)
-    ys = np.asarray(ys, dtype=np.int64) % p
-    a = np.concatenate([vq, (-(ys[:, None] * ve % p)) % p], axis=1)
-    basis = nullspace_raw(a, p)
-    if basis.shape[0] == 0:
-        raise DecodingFailure("no Berlekamp-Welch solution")
-    sol = basis[0]
-    q, e = sol[:d_f + e_max + 1], sol[d_f + e_max + 1:]
-    f = _polydiv_exact(q, e, p)
-    if f is None:
-        raise DecodingFailure("locator does not divide the numerator")
-    if any(f[d_f + 1:]):
-        raise DecodingFailure("quotient degree exceeds the declared bound")
-    f = f[:d_f + 1] or [0]
-    fp = MatPoly(np.array(f, dtype=np.int64).reshape(-1, 1, 1), p)
-    vals = fp.eval_many(xs)[:, 0, 0]
-    bad = {i for i in range(n) if vals[i] != ys[i]}
-    if len(bad) > e_max:
-        raise DecodingFailure(f"{len(bad)} mismatches exceed budget {e_max}")
-    return f, bad
-
-
 def _fit_exact(xs, flat, d_f, p):
     """Exact degree-d_f fit of all columns, or None if inconsistent."""
-    v = vandermonde(xs, d_f + 1, p)
-    return solve_particular(v, flat, p)
+    return solve_particular(vandermonde(xs, d_f + 1, p), flat, p)
 
 
 def decode(d_f, alphas, received, e_max, p):
@@ -140,8 +84,23 @@ def decode(d_f, alphas, received, e_max, p):
 
     received: (N,) or (N, r, c) array-like, one value per point with
     missing values already replaced by zeros. Returns (MatPoly,
-    frozenset of the points at which errors were corrected). Requires
-    N >= d_f + 1 + 2*e_max so that decoding within budget is unique.
+    frozenset of the points at which errors were corrected): the unique
+    codeword within e_max rows of the word, or DecodingFailure when
+    there is none. Requires N >= d_f + 1 + 2*e_max so that it is unique.
+
+    A word that is a codeword is fitted exactly. Otherwise one error
+    locator serves every entry c of the word: E is the first nonzero
+    polynomial of degree <= e_max such that E*y_c agrees, at every
+    point, with some polynomial R_c of degree <= d_f + e_max, which is
+    one nullspace over the stacked rows H diag(y_c) V_E. If a codeword
+    f lies within e_max rows, E*f_c has that degree too and agrees with
+    E*y_c off the error rows, at N - e_max >= d_f + e_max + 1 points, so
+    R_c = E*f_c; hence E vanishes wherever some y_c is wrong. The points
+    where E does not vanish are then error-free and at least d_f + 1 in
+    number, and their exact fit is f. Conversely, a nonzero E of degree
+    <= e_max vanishes at no more than e_max of the distinct points, so
+    any exact fit of the others is a codeword within e_max rows: when
+    no such codeword exists, the fit fails.
     """
     word = arr(received, p)
     if word.ndim == 1:
@@ -160,37 +119,24 @@ def decode(d_f, alphas, received, e_max, p):
     if coeffs is not None:
         return MatPoly(coeffs.reshape((d_f + 1,) + shape), p), frozenset()
 
-    # pilot entry, then cross-entry verification of its error support
-    try:
-        _, bad = _bw_scalar(xs, flat[:, 0], d_f, e_max, p)
-        keep = [i for i in range(n) if i not in bad]
-        kept = _fit_exact([xs[i] for i in keep], flat[keep], d_f, p)
-        if kept is not None:
-            poly = MatPoly(kept.reshape((d_f + 1,) + shape), p)
-            evals = poly.eval_many(xs).reshape(n, -1)
-            mism = {i for i in range(n) if (evals[i] != flat[i]).any()}
-            if len(mism) <= e_max:
-                return poly, frozenset(xs[i] for i in mism)
-    except DecodingFailure:
-        pass
-
-    # fallback: per-entry decoding, union of error supports
-    union = set()
-    for col in range(flat.shape[1]):
-        _, bad = _bw_scalar(xs, flat[:, col], d_f, e_max, p)
-        union |= bad
-    if len(union) > e_max:
-        raise DecodingFailure("entries disagree on more points than the budget")
-    keep = [i for i in range(n) if i not in union]
+    # H spans the dual of the degree-(d_f + e_max) code on xs, and
+    # scaled[i, c, j] = y_c(x_i) * x_i**j
+    vq = vandermonde(xs, d_f + e_max + 1, p)
+    h = nullspace_raw(vq.T, p)
+    ve = vq[:, :e_max + 1]
+    scaled = flat[:, :, None] * ve[:, None, :] % p
+    rows = mat_mul(h, scaled.reshape(n, -1), p).reshape(-1, e_max + 1)
+    locators = nullspace_raw(rows, p)
+    if not len(locators):
+        raise DecodingFailure("no error locator fits every entry")
+    keep = np.flatnonzero(mat_mul(ve, locators[0], p))
     kept = _fit_exact([xs[i] for i in keep], flat[keep], d_f, p)
     if kept is None:
-        raise DecodingFailure("no single polynomial explains all entries")
+        raise DecodingFailure("the points the locator keeps fit no codeword")
     poly = MatPoly(kept.reshape((d_f + 1,) + shape), p)
     evals = poly.eval_many(xs).reshape(n, -1)
-    mism = {i for i in range(n) if (evals[i] != flat[i]).any()}
-    if len(mism) > e_max:
-        raise DecodingFailure("corrected word still too far from the code")
-    return poly, frozenset(xs[i] for i in mism)
+    return poly, frozenset(x for x, got, want in zip(xs, flat, evals)
+                           if (got != want).any())
 
 
 def syndrome_decode(code, syn, e_max):

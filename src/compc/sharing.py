@@ -22,7 +22,7 @@ from .errors import (DuplicatePoints, InconsistentShares, InsufficientShares,
                      ParameterViolation)
 from .gf import FMatrix, hconcat, solve_particular
 from .poly import MatPoly, vandermonde
-from .rscode import ExponentSet, decode
+from .rscode import decode
 
 DIRECT = "direct"
 REVERSE = "reverse"
@@ -54,12 +54,6 @@ class ShareLabel:
     def mask_lo(self):
         """Exponent of the first random mask coefficient."""
         return self.m + self.delta
-
-    @property
-    def exps(self):
-        """Exponent set of the induced evaluation code."""
-        return ExponentSet(list(range(self.m)) +
-                           list(range(self.mask_lo, self.degree + 1)))
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,6 @@ class SubshareBundle(NamedTuple):
     origin: int
     values: dict        # recipient -> ndarray, Q_origin(alpha_recipient)
     zeta: int
-    degree_claim: int
     g: dict             # recipient -> (d+1, r, c) coeffs of S_origin(alpha, y)
     q: object           # the MatPoly Q_origin the origin dealt
 
@@ -266,8 +265,7 @@ def subshare_of_shares(network, adv, scenario, prefix, active, families):
             res = outcomes[iid]
             vals = {j: zero if res.shares[j] is None else res.shares[j]
                     for j in live}
-            bundles[fx][n] = SubshareBundle(n, vals, zeta, zeta + t - 1,
-                                            res.g, q)
+            bundles[fx][n] = SubshareBundle(n, vals, zeta, res.g, q)
 
     live = active.active
     before = set(active.eliminated)

@@ -365,7 +365,7 @@ def gap_view(n, t, m, p, secret, draws, leak):
     s = Scenario(n=n, t=t, m=m, p=p, seed=0, z=m, program=()).validate()
     pairs = [deal.polys_for(j) for j in s.workers]
     bundle = SubshareBundle(1, {j: f[0] for j, (f, _) in zip(s.workers, pairs)},
-                            m, d1 - 1, {j: g for j, (_, g) in zip(s.workers, pairs)},
+                            m, {j: g for j, (_, g) in zip(s.workers, pairs)},
                             dealt)
     net = Network(s, Transcript())
     verify_gap_form(net, AdversaryController(s), s, "gap",

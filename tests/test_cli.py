@@ -28,6 +28,12 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+def load_run(name, *options):
+    args = cli.build_parser().parse_args(
+        ["run", "--scenario", fixture(name), *options])
+    return cli.load_scenario(args)
+
+
 class TestScenarioParsing:
     def test_program_line_forms(self):
         op = cli.parse_program_line("SHARE 0 direct -> ra")
@@ -82,21 +88,15 @@ class TestScenarioParsing:
             cli.parse_scenario_text(text)
 
     def test_overrides_apply(self):
-        config = cli.RunConfig("run", scenario=fixture("identity.scn"), n=6,
-                               seed=99)
-        scenario = cli.load_scenario(config)
+        scenario = load_run("identity.scn", "--n", "6", "--seed", "99")
         assert scenario.n == 6 and scenario.seed == 99
 
     def test_strategy_override_fills_tail_workers(self):
-        config = cli.RunConfig("run", scenario=fixture("identity.scn"),
-                               strategy="Silent")
-        scenario = cli.load_scenario(config)
+        scenario = load_run("identity.scn", "--strategy", "Silent")
         assert scenario.adversaries == ((4, "Silent"),)
 
     def test_strategy_override_renames_declared(self):
-        config = cli.RunConfig("run", scenario=fixture("threshold.scn"),
-                               strategy="Silent")
-        scenario = cli.load_scenario(config)
+        scenario = load_run("threshold.scn", "--strategy", "Silent")
         assert scenario.adversaries == ((6, "Silent"),)
 
 
@@ -299,3 +299,15 @@ class TestAuditCommand:
                            "--out", str(out)) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--prime", "7"),
+    ("sweep", "--samples", "5"),
+    ("audit", "--strategy", "Silent"),
+    ("run", "--scenario", fixture("identity.scn"), "--grid", "m=1"),
+])
+def test_options_a_command_does_not_read_are_refused(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2

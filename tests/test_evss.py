@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from compc.errors import ParameterViolation
-from compc.evss import (BatchInstance, EvssDeal, complaints_for, evss_deal,
-                        evss_deal_poly, reveals_for, run_evss_batch,
-                        vote_for)
+from compc.evss import (BatchInstance, EvssDeal, _parse_complaint,
+                        complaints_for, evss_deal, evss_deal_poly,
+                        reveals_for, run_evss_batch, vote_for)
 from compc.gf import FMatrix, solve_particular
 from compc.net import (BCAST, PRIV, AdversaryController, Network, Scenario,
                        Transcript, rng_for)
@@ -390,6 +390,51 @@ def test_batch_validates_instances():
         run_evss_batch(net, adv, s, "x",
                        [BatchInstance("a", 1, lab, d1),
                         BatchInstance("b", 2, lab, d2)])
+
+
+class OneBadRow:
+    """Sets one row of dealer 2's deal stack for party 3 to p, which is
+    outside the field, and passes every other message on unchanged."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def filter(self, ctx, outboxes):
+        if ctx["phase"].endswith(":deal"):
+            fresh = []
+            for channel, to, (tag, iids, fs, gs) in outboxes[2]:
+                if to == 3:
+                    fs = fs.copy()
+                    fs[0, 0] = self.p
+                fresh.append((channel, to, (tag, iids, fs, gs)))
+            outboxes[2] = fresh
+        return outboxes
+
+
+def test_batch_drops_a_malformed_deal_stack_whole():
+    s = batch_scenario()
+    net, _ = fresh_net(s)
+    lab = ShareLabel(1, 1, 0)
+    rng = np.random.default_rng(12)
+    instances = [BatchInstance(iid, 2, lab,
+                               evss_deal(rand_matrix(rng, 2, 2), lab, rng))
+                 for iid in ("a", "b")]
+    run_evss_batch(net, OneBadRow(s.p), s, "x", instances)
+    # party 3 holds neither instance, so it complains about both itself
+    said = [item for e in net.transcript.envelopes
+            if e.phase == "x:complain" and e.sender == 3
+            for item in e.payload[1]]
+    assert [item for item in said if item[1] == "self"] == \
+        [("a", "self"), ("b", "self")]
+
+
+def test_complaint_claims_must_be_field_arrays():
+    good = np.ones((2, 2), dtype=np.int64)
+    item = ("pair", 2, good.astype(np.float64), good)
+    parsed = _parse_complaint(item, (1, 2, 3), (2, 2), P)
+    assert parsed[:3] == ("pair", 2, None) and parsed[3] is good
+    out_of_range = ("pair", 2, good, good * P)
+    assert _parse_complaint(out_of_range, (1, 2, 3), (2, 2), P)[3] is None
 
 
 def test_batch_deterministic_transcript():

@@ -81,8 +81,8 @@ def test_decode_corrects_planted_zero():
 
 
 def test_decode_matrix_word_entrywise_errors():
-    # errors hit different entries at different points: the pilot entry
-    # alone cannot see the full support, forcing the union fallback
+    # errors hit different entries at different points: the one
+    # locator must vanish on the union of the entries' supports
     p = 101
     rng = np.random.default_rng(9)
     xs = list(range(1, 9))
@@ -164,6 +164,48 @@ def test_beyond_budget_failure_or_nearest():
             got = poly.eval_many(xs)[:, 0, 0].tolist()
             achieved = sum(a != b for a, b in zip(word, got))
             assert achieved == len(errs) == dist_min <= e_max
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_matrix_words_against_every_pair_of_codewords(n):
+    """Words of shape (n, 1, 2) at degree <= 1 over GF(7), random or
+    with the two entries wrong on different rows, up to two rows beyond
+    the budget: decode returns a polynomial exactly when some pair of
+    codewords lies within e_max rows, and corrects exactly those rows."""
+    p, deg = 7, 1
+    xs = list(range(1, n + 1))
+    e_max = (n - deg - 1) // 2
+    polys = list(product(range(p), repeat=deg + 1))
+    table = np.array([[eval_ref(c, x, p) for x in xs] for c in polys])
+    rng = np.random.default_rng(n)
+    words = [rng.integers(0, p, size=(n, 1, 2)) for _ in range(150)]
+    for _ in range(300):
+        pair = rng.integers(0, len(polys), size=2)
+        word = table[pair].T.reshape(n, 1, 2).copy()
+        rows = rng.choice(n, size=min(n, int(rng.integers(1, e_max + 3))),
+                          replace=False)
+        # entry 0 is wrong on a nonempty prefix of the rows, entry 1 on
+        # a nonempty suffix, so the two supports differ when rows > 1
+        cut = int(rng.integers(1, len(rows) + 1))
+        for entry, hit in ((0, rows[:cut]), (1, rows[cut - 1:])):
+            word[hit, 0, entry] = (word[hit, 0, entry]
+                                   + rng.integers(1, p, size=len(hit))) % p
+        words.append(word)
+    for word in words:
+        wrong = ((table[:, None, :] != word[:, 0, 0])
+                 | (table[None, :, :] != word[:, 0, 1]))    # (49, 49, n)
+        near = np.argwhere(wrong.sum(axis=2) <= e_max)
+        if len(near) == 0:
+            with pytest.raises(DecodingFailure):
+                decode(deg, xs, word, e_max, p)
+            continue
+        (a, b), = near
+        poly, errs = decode(deg, xs, word, e_max, p)
+        got = np.zeros((deg + 1, 1, 2), dtype=np.int64)
+        got[:poly.c.shape[0]] = poly.c
+        assert got[:, 0, 0].tolist() == list(polys[a])
+        assert got[:, 0, 1].tolist() == list(polys[b])
+        assert errs == frozenset(x for x, w in zip(xs, wrong[a, b]) if w)
 
 
 @settings(max_examples=20, deadline=None)

@@ -26,7 +26,6 @@ def random_secret(rows, cols, p, rng):
 def test_label_validation_and_derived_fields():
     lab = ShareLabel(m=2, t=3, delta=1)
     assert lab.degree == 5 and lab.threshold == 6 and lab.mask_lo == 3
-    assert tuple(lab.exps) == (0, 1, 3, 4, 5)
     with pytest.raises(ParameterViolation):
         ShareLabel(m=0, t=1)
     with pytest.raises(ParameterViolation):

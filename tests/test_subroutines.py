@@ -46,8 +46,7 @@ def honest_bundles(live, f_vals, zeta, t, p, seed=11):
         deal = evss_deal_poly(q, lab, rng)
         pairs = {j: deal.polys_for(j) for j in live}
         out[n] = SubshareBundle(n, {j: f[0] for j, (f, _) in pairs.items()},
-                                zeta, zeta + t - 1,
-                                {j: g for j, (_, g) in pairs.items()}, q)
+                                zeta, {j: g for j, (_, g) in pairs.items()}, q)
     return out
 
 
@@ -215,7 +214,7 @@ def test_subshare_honest_bundles_interpolate():
     assert active.eliminated == {}
     for n in s.workers:
         b = bundles[n]
-        assert b.degree_claim == 2
+        assert b.q.degree <= 2
         # reconstruct Q_n and check constant and gap coefficient
         pts = list(s.workers)
         from compc.poly import interpolate

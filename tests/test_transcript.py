@@ -235,10 +235,9 @@ def assert_envelopes_parse_back(tr):
 
 
 def test_threshold_transcript_parses_back():
-    config = types.SimpleNamespace(scenario=str(THRESHOLD_SCN), n=None,
-                                   t=None, m=None, prime=None, seed=None,
-                                   strategy=None)
-    tr = run_scenario(cli.load_scenario(config))
+    args = cli.build_parser().parse_args(
+        ["run", "--scenario", str(THRESHOLD_SCN)])
+    tr = run_scenario(cli.load_scenario(args))
     assert_envelopes_parse_back(tr)
 
 
