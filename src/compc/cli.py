@@ -381,22 +381,24 @@ def cmd_audit(args):
 
 
 def build_parser():
-    """One subparser per command, each with only the options it reads."""
+    """One subparser per command, each with only the options it reads.
+    No parser takes a prefix of an option for the option."""
     parser = argparse.ArgumentParser(
-        prog="compc",
+        prog="compc", allow_abbrev=False,
         description="Coded MPC scenario runner, threshold sweep, and audits")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    run = sub.add_parser("run",
+    run = sub.add_parser("run", allow_abbrev=False,
                          help="execute one scenario file and judge the output")
     run.add_argument("--scenario", required=True)
     for name in ("seed", "n", "t", "m", "prime"):
         run.add_argument(f"--{name}", type=int, default=None)
     run.add_argument("--strategy", default="")
-    sweep = sub.add_parser("sweep",
+    sweep = sub.add_parser("sweep", allow_abbrev=False,
                            help="grid of (m, t, strategy) cells at N = 3t+2m-1")
     sweep.add_argument("--grid", default="")
     sweep.add_argument("--seed", type=int, default=0)
-    audit = sub.add_parser("audit", help="exact and sampled leakage audits")
+    audit = sub.add_parser("audit", allow_abbrev=False,
+                           help="exact and sampled leakage audits")
     audit.add_argument("--grid", default=DEFAULT_AUDIT_GRID)
     audit.add_argument("--seed", type=int, default=0)
     audit.add_argument("--samples", type=int, default=2000)

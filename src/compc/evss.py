@@ -90,8 +90,8 @@ def evss_deal(w, label, rng):
 
 
 def _well_formed(pair, d1, shape, p):
-    if not isinstance(pair, tuple) or len(pair) != 2:
-        return False
+    """Both polynomials of a revealed (f, g) pair are field arrays of
+    d1 coefficients of `shape`."""
     want = (d1,) + tuple(shape)
     return all(is_field_array(c, want, p) for c in pair)
 
@@ -137,10 +137,12 @@ def reveals_for(deal, complaints, workers):
     return out
 
 
-def vote_for(party, polys, cross_in, complaints, reveals, d1, shape, p):
-    """(vote, adopted polys) under the module's vote rules."""
+def vote_for(party, polys, cross_in, complaints, reveals, p):
+    """(vote, adopted polys) under the module's vote rules. reveals
+    maps each revealed party to its pair, or to None when the pair
+    was malformed; the caller validates each pair once, at ingest."""
     my_reveal = reveals.get(party)
-    if my_reveal is not None and _well_formed(my_reveal, d1, shape, p):
+    if my_reveal is not None:
         polys = my_reveal
 
     if polys is None:
@@ -150,8 +152,8 @@ def vote_for(party, polys, cross_in, complaints, reveals, d1, shape, p):
     # (x, values that must equal (g(x), f(x)) of the adopted pair)
     checks = []
     vote = True
-    if my_reveal is not None:
-        if not _well_formed(my_reveal, d1, shape, p):
+    if party in reveals:
+        if my_reveal is None:
             vote = False
         else:
             checks += [(j, got) for j, got in cross_in.items()
@@ -180,8 +182,7 @@ def vote_for(party, polys, cross_in, complaints, reveals, d1, shape, p):
     # every other reveal must be well formed and match my own pair:
     # (f_k(a_party), g_k(a_party)) = (g(a_k), f(a_k))
     others = [(k, pair) for k, pair in reveals.items() if k != party]
-    formed = [(k, pair) for k, pair in others
-              if _well_formed(pair, d1, shape, p)]
+    formed = [(k, pair) for k, pair in others if pair is not None]
     if len(formed) < len(others):
         vote = False
     if formed:
@@ -228,7 +229,9 @@ def _parse_complaint(item, workers, shape, p):
     return None
 
 
-def run_evss_batch(network, adv, scenario, prefix, instances, kind=None):
+def run_evss_batch(network,
+                   *,  # mulperf's tracer misnames positional arguments
+                   scenario, prefix, instances, kind=None):
     """Run many same-shaped instances through five network rounds.
 
     All instances must share one (degree, value shape); `kind` is one
@@ -252,10 +255,7 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kind=None):
     registry = {b.iid: {"dealer": b.dealer, "label": b.label, "kind": kind}
                 for b in instances}
     states = {i: {} for i in workers}
-
-    def ctx(phase):
-        return {"phase": phase, "instances": registry, "states": states,
-                "scenario": s}
+    ctx = {"instances": registry, "states": states}
 
     # round 1: deals (dealers adopt their own pair immediately)
     by_dealer = {}
@@ -275,8 +275,7 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kind=None):
                 states[d][b.iid] = (fcs[dx, k], gcs[dx, k])
         outboxes[d] = [(PRIV, j, ("evd", iids, fcs[jx], gcs[jx]))
                        for jx, j in enumerate(workers) if j != d]
-    outboxes = adv.filter(ctx(f"{prefix}:deal"), outboxes)
-    inboxes = network.exchange(f"{prefix}:deal", outboxes)
+    inboxes = network.exchange(f"{prefix}:deal", outboxes, **ctx)
 
     # a malformed stack is dropped whole: its recipient self-complains
     pair_shape = (d1,) + tuple(shape)
@@ -307,8 +306,7 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kind=None):
         sent_cross[i] = (held, u, v)
         outboxes[i] = [(PRIV, j, ("evx", held, u[jx], v[jx]))
                        for jx, j in enumerate(workers) if j != i]
-    outboxes = adv.filter(ctx(f"{prefix}:cross"), outboxes)
-    inboxes = network.exchange(f"{prefix}:cross", outboxes)
+    inboxes = network.exchange(f"{prefix}:cross", outboxes, **ctx)
 
     # recv[i][j] = (position map, U stack, V stack), validated on ingest
     recv = {i: {} for i in workers}
@@ -367,8 +365,7 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kind=None):
                                        cross_views(i, iid), senders, p):
                 items.append((iid,) + item)
         outboxes[i] = [(BCAST, -1, ("evc", tuple(items)))] if items else []
-    outboxes = adv.filter(ctx(f"{prefix}:complain"), outboxes)
-    inboxes = network.exchange(f"{prefix}:complain", outboxes)
+    inboxes = network.exchange(f"{prefix}:complain", outboxes, **ctx)
 
     complaints = {iid: {} for iid in all_iids}
     for sender, (_, items) in tagged(inboxes[workers[0]], BCAST, "evc", 2):
@@ -396,8 +393,7 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kind=None):
                 items = tuple((b.iid, i, pair[0], pair[1])
                               for i, pair in sorted(ans.items()))
                 outboxes[b.dealer].append((BCAST, -1, ("evr", items)))
-        outboxes = adv.filter(ctx(f"{prefix}:resolve"), outboxes)
-        inboxes = network.exchange(f"{prefix}:resolve", outboxes)
+        inboxes = network.exchange(f"{prefix}:resolve", outboxes, **ctx)
 
         for sender, (_, items) in tagged(inboxes[workers[0]], BCAST, "evr",
                                          2):
@@ -409,7 +405,8 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kind=None):
                 iid, who, rf, rg = item
                 if iid in reveals and registry[iid]["dealer"] == sender \
                         and who not in reveals[iid]:
-                    reveals[iid][who] = (rf, rg)
+                    formed = _well_formed((rf, rg), d1, shape, p)
+                    reveals[iid][who] = (rf, rg) if formed else None
 
         # round 5: votes on contested instances
         outboxes = {}
@@ -418,15 +415,14 @@ def run_evss_batch(network, adv, scenario, prefix, instances, kind=None):
             for b in flagged:
                 vote, adopted = vote_for(
                     i, states[i].get(b.iid), cross_views(i, b.iid),
-                    complaints[b.iid], reveals[b.iid], d1, shape, p)
+                    complaints[b.iid], reveals[b.iid], p)
                 if adopted is not None:
                     states[i][b.iid] = adopted
                 else:
                     states[i].pop(b.iid, None)
                 bits.append((b.iid, int(vote)))
             outboxes[i] = [(BCAST, -1, ("evv", tuple(bits)))]
-        outboxes = adv.filter(ctx(f"{prefix}:vote"), outboxes)
-        inboxes = network.exchange(f"{prefix}:vote", outboxes)
+        inboxes = network.exchange(f"{prefix}:vote", outboxes, **ctx)
 
         for sender, (_, bits) in tagged(inboxes[workers[0]], BCAST, "evv",
                                         2):

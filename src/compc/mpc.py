@@ -53,8 +53,7 @@ from .errors import (DegreeMismatch, ParameterViolation, ProtocolAbort,
                      TooFewSurvivors)
 from .evss import BatchInstance, evss_deal, evss_deal_poly, run_evss_batch
 from .gf import FMatrix, is_field_array, mat_mul
-from .net import (BCAST, PRIV, AdversaryController, Network, Transcript,
-                  rng_for, tagged)
+from .net import BCAST, PRIV, Network, Transcript, rng_for, tagged
 from .poly import MatPoly, coeff_extraction_combo, horner
 from .sharing import (DIRECT, REVERSE, Share, ShareLabel, make_share_poly,
                       robust_reconstruct)
@@ -223,7 +222,7 @@ def multiply_semi_honest(a, b, m, t, n, rng=None):
             for jx, j in enumerate(points)}
 
 
-def _leg_families(network, adv, scenario, prefix, active, m, value_at,
+def _leg_families(network, scenario, prefix, active, m, value_at,
                   leg="l", lead=()):
     """Verified re-sharing of the lead families and m leg families in
     shared rounds; leg j (tag <prefix>:<leg><j>) re-shares
@@ -236,12 +235,12 @@ def _leg_families(network, adv, scenario, prefix, active, m, value_at,
          dmax, m - j)
         for j in range(m)]
     bundles, active = subshare_of_shares(
-        network, adv, scenario, prefix, active, families)
-    active = verify_gap_form(network, adv, scenario, prefix, active, bundles)
+        network, scenario, prefix, active, families)
+    active = verify_gap_form(network, scenario, prefix, active, bundles)
     return bundles, active
 
 
-def multiply_malicious(network, adv, scenario, prefix, active, sa, sb):
+def multiply_malicious(network, scenario, prefix, active, sa, sb):
     """Verified multiplication; returns (SharedMatrix, active).
 
     sa must be a zero-gap direct and sb a zero-gap reverse sharing
@@ -278,7 +277,7 @@ def multiply_malicious(network, adv, scenario, prefix, active, sa, sb):
 
     a_vals = {i: _held(sa, i) for i in active.active}
     bundles, active = _leg_families(
-        network, adv, s, prefix, active, m,
+        network, s, prefix, active, m,
         lambda j, i: _held(sb, i)[j * w:(j + 1) * w], leg="b",
         lead=[(f"{prefix}:a", a_vals, dmax, m)])
     a_bundles, b_bundles = bundles[0], bundles[1:]
@@ -309,7 +308,7 @@ def multiply_malicious(network, adv, scenario, prefix, active, sa, sb):
                                          rng_for(s.seed, n,
                                                  f"{prefix}:o{k:02d}")))
             for n, k in tags]
-        outcomes = _deal_batch(network, adv, s, f"{prefix}:o", active,
+        outcomes = _deal_batch(network, s, f"{prefix}:o", active,
                                instances, "odeal", f"{prefix}:o")
         o_shares = {key: outcomes[b.iid].shares
                     for key, b in zip(tags, instances)
@@ -322,7 +321,7 @@ def multiply_malicious(network, adv, scenario, prefix, active, sa, sb):
                       evss_deal_poly(cpoly[n], clab,
                                      rng_for(s.seed, n, f"{prefix}:c")))
         for n in dealers]
-    outcomes = _deal_batch(network, adv, s, f"{prefix}:c", active,
+    outcomes = _deal_batch(network, s, f"{prefix}:c", active,
                            instances, "cdeal", f"{prefix}:c")
     c_shares = {n: outcomes[b.iid].shares for n, b in zip(dealers, instances)
                 if outcomes[b.iid].accepted}
@@ -352,9 +351,7 @@ def multiply_malicious(network, adv, scenario, prefix, active, sa, sb):
                 items.append((BCAST, -1, ("mulcomplaint", n)))
         outboxes[j] = items
     check_phase = f"{prefix}:check"
-    outboxes = adv.filter({"phase": check_phase, "active": active.active},
-                          outboxes)
-    inboxes = network.exchange(check_phase, outboxes)
+    inboxes = network.exchange(check_phase, outboxes, active=active.active)
     complaints = set()
     for sender, (_, named) in tagged(inboxes[0], BCAST, "mulcomplaint", 2):
         if sender not in active.active:
@@ -386,7 +383,7 @@ def multiply_malicious(network, adv, scenario, prefix, active, sa, sb):
                 + [(_padded(o_shares[(accused, k)], live, zero_zw), o_deg)
                    for k in range(len(starts))]
                 + [(_padded(c_shares[accused], live, zero_zw), dmax)])
-            vals = eval_shared_poly(network, adv, s, tag, active, polys, j)
+            vals = eval_shared_poly(network, s, tag, active, polys, j)
             av, pieces = vals[0], vals[1:m + 1]
             ovals, cv = vals[m + 1:-1], vals[-1]
             if not relation_at(j, (av, pieces, ovals, cv)):
@@ -415,8 +412,7 @@ def multiply_malicious(network, adv, scenario, prefix, active, sa, sb):
                         z), active
 
 
-def _recombined_legs(network, adv, scenario, prefix, active, sv, value_at,
-                     picks):
+def _recombined_legs(network, scenario, prefix, active, sv, value_at, picks):
     """Re-share every point of sv under m legs (leg j re-shares
     value_at(j, party) with gap m-1-j) and recombine them: leg j
     contributes extraction rows picks[j], row r extracting coefficient
@@ -425,8 +421,7 @@ def _recombined_legs(network, adv, scenario, prefix, active, sv, value_at,
     s, p = scenario, scenario.p
     m, t = sv.label.m, sv.label.t
     z, w = sv.z, sv.z // m
-    bundles, active = _leg_families(network, adv, s, prefix, active, m,
-                                    value_at)
+    bundles, active = _leg_families(network, s, prefix, active, m, value_at)
     live = active.active
     if len(live) < m + t:
         raise TooFewSurvivors(
@@ -445,7 +440,7 @@ def _recombined_legs(network, adv, scenario, prefix, active, sv, value_at,
     return out, active
 
 
-def _swap_direction(network, adv, scenario, prefix, active, sv, dfrom, dto):
+def _swap_direction(network, scenario, prefix, active, sv, dfrom, dto):
     lab = sv.label
     if lab.dir != dfrom or lab.delta:
         raise ParameterViolation(f"expected a zero-gap {dfrom} sharing")
@@ -456,24 +451,24 @@ def _swap_direction(network, adv, scenario, prefix, active, sv, dfrom, dto):
         return SharedMatrix(out_label, dict(sv.shares), sv.z), active
     # leg j carries input coefficient m-1-j, which is output position j
     out, active = _recombined_legs(
-        network, adv, scenario, prefix, active, sv,
+        network, scenario, prefix, active, sv,
         lambda j, i: _held(sv, i), [[m - 1 - j] for j in range(m)])
     return SharedMatrix(out_label, out, sv.z), active
 
 
-def direct_to_reverse(network, adv, scenario, prefix, active, sv):
+def direct_to_reverse(network, scenario, prefix, active, sv):
     """Reverse sharing of the same secret. Position j of the output
     combines the legs extracting input coefficient m-1-j."""
-    return _swap_direction(network, adv, scenario, prefix, active, sv,
+    return _swap_direction(network, scenario, prefix, active, sv,
                            DIRECT, REVERSE)
 
 
-def reverse_to_direct(network, adv, scenario, prefix, active, sv):
-    return _swap_direction(network, adv, scenario, prefix, active, sv,
+def reverse_to_direct(network, scenario, prefix, active, sv):
+    return _swap_direction(network, scenario, prefix, active, sv,
                            REVERSE, DIRECT)
 
 
-def transpose_shares(network, adv, scenario, prefix, active, sv):
+def transpose_shares(network, scenario, prefix, active, sv):
     """Direct sharing of the transposed secret.
 
     Output block r stacks the transposed row pieces taken across the
@@ -492,7 +487,7 @@ def transpose_shares(network, adv, scenario, prefix, active, sv):
     # every leg takes all m extraction rows: output block r is
     # sum_fam i^fam (row r of family fam)
     out, active = _recombined_legs(
-        network, adv, scenario, prefix, active, sv,
+        network, scenario, prefix, active, sv,
         lambda j, i: _held(sv, i)[j * w:(j + 1) * w].T.copy(),
         [slice(None)] * m)
     return SharedMatrix(lab, out, sv.z), active
@@ -506,7 +501,7 @@ def add_shares(sa, sb, active, p):
     return SharedMatrix(sa.label, out, sa.z)
 
 
-def _share_input(network, adv, scenario, prefix, active, src_ix, direction):
+def _share_input(network, scenario, prefix, active, src_ix, direction):
     s = scenario
     if not 0 <= src_ix < len(s.inputs):
         raise ParameterViolation(f"no input {src_ix}")
@@ -514,8 +509,8 @@ def _share_input(network, adv, scenario, prefix, active, src_ix, direction):
     source = s.n + 1 + src_ix
     deal = evss_deal(s.inputs[src_ix], lab,
                      rng_for(s.seed, source, f"{prefix}:deal"))
-    out = run_evss_batch(network, adv, s, prefix,
-                         [BatchInstance("inp", source, lab, deal)])["inp"]
+    out = run_evss_batch(network, scenario=s, prefix=prefix, instances=[
+        BatchInstance("inp", source, lab, deal)])["inp"]
     if not out.accepted:
         # sources are honest, so a rejection means the run is hopeless
         raise ProtocolAbort("InputRejected", f"source {source}")
@@ -523,13 +518,12 @@ def _share_input(network, adv, scenario, prefix, active, src_ix, direction):
     return SharedMatrix(lab, shares, s.z), active
 
 
-def _reveal(network, adv, scenario, prefix, active, sv, transcript):
+def _reveal(network, scenario, prefix, active, sv):
     s, p = scenario, scenario.p
     lab = sv.label
     z, w = sv.z, sv.z // lab.m
     phase = f"{prefix}:send"
     outboxes = {j: [(PRIV, 0, ("out", _held(sv, j)))] for j in active.active}
-    outboxes = adv.filter({"phase": phase}, outboxes)
     inboxes = network.exchange(phase, outboxes)
     recs = []
     seen = set()
@@ -544,8 +538,8 @@ def _reveal(network, adv, scenario, prefix, active, sv, transcript):
     t_eff = min(active.budget(s.t), max(0, (len(recs) - lab.threshold) // 2))
     secret, corrected = robust_reconstruct(recs, lab, t_eff)
     for party in sorted(corrected):
-        transcript.add_event("correct", phase, party)
-    transcript.master_output = secret
+        network.transcript.add_event("correct", phase, party)
+    network.transcript.master_output = secret
     return secret
 
 
@@ -555,7 +549,6 @@ def execute(scenario):
     s = scenario
     transcript = Transcript()
     network = Network(s, transcript)
-    adv = AdversaryController(s)
     active = ActiveSet(s.workers)
     regs = {}
 
@@ -570,26 +563,25 @@ def execute(scenario):
         if op.kind == "share":
             src_ix, direction = op.args
             regs[op.dest], active = _share_input(
-                network, adv, s, f"r{ix}shr", active, src_ix, direction)
+                network, s, f"r{ix}shr", active, src_ix, direction)
         elif op.kind == "mul":
             regs[op.dest], active = multiply_malicious(
-                network, adv, s, f"r{ix}mul", active,
+                network, s, f"r{ix}mul", active,
                 reg(op.args[0]), reg(op.args[1]))
         elif op.kind == "add":
             regs[op.dest] = add_shares(reg(op.args[0]), reg(op.args[1]),
                                        active, s.p)
         elif op.kind == "transpose":
             regs[op.dest], active = transpose_shares(
-                network, adv, s, f"r{ix}tr", active, reg(op.args[0]))
+                network, s, f"r{ix}tr", active, reg(op.args[0]))
         elif op.kind == "d2r":
             regs[op.dest], active = direct_to_reverse(
-                network, adv, s, f"r{ix}rev", active, reg(op.args[0]))
+                network, s, f"r{ix}rev", active, reg(op.args[0]))
         elif op.kind == "r2d":
             regs[op.dest], active = reverse_to_direct(
-                network, adv, s, f"r{ix}dir", active, reg(op.args[0]))
+                network, s, f"r{ix}dir", active, reg(op.args[0]))
         elif op.kind == "reveal":
-            _reveal(network, adv, s, f"r{ix}out", active, reg(op.args[0]),
-                    transcript)
+            _reveal(network, s, f"r{ix}out", active, reg(op.args[0]))
         else:
             raise ParameterViolation(f"unknown op kind {op.kind!r}")
     return transcript

@@ -1,11 +1,14 @@
-"""Deterministic synchronous network simulator with adversary hooks.
+"""Deterministic synchronous network simulator that applies the adversary.
 
 Parties exchange messages in rounds. Each round, the protocol driver
-computes every party's honest outbox, the adversary controller mutates
-the outboxes of corrupted parties, and the network delivers: private
-payloads to their recipient, broadcasts to everyone. Deliveries are
-sorted canonically (round, sender, channel kind, recipient) so the
-transcript is a pure function of the scenario.
+computes every party's honest outbox and hands them all to
+Network.exchange. The network first lets its adversary controller
+rewrite the outboxes of corrupted parties, then delivers: private
+payloads to their recipient, broadcasts to everyone. Every round
+passes through exchange, so every round meets the adversary, and no
+protocol code knows who is corrupt. Deliveries are sorted canonically
+(round, sender, channel kind, recipient) so the transcript is a pure
+function of the scenario.
 
 Randomness discipline: every honest draw comes from a stream keyed by
 (seed, party, phase tag), and the number of draws per phase depends
@@ -210,21 +213,28 @@ def tagged(inbox, channel, tag, size):
 
 
 class Network:
-    """Collects outboxes, applies canonical ordering, delivers."""
+    """Collects outboxes, lets the adversary rewrite the corrupted
+    parties' ones, applies canonical ordering, delivers."""
 
     def __init__(self, scenario, transcript):
         self.s = scenario
         self.transcript = transcript
+        self.adversary = AdversaryController(scenario)
         self.round = 0
         self.parties = (0,) + scenario.workers + tuple(
             scenario.n + 1 + i for i in range(len(scenario.inputs)))
 
-    def exchange(self, phase, outboxes):
+    def exchange(self, phase, outboxes, **ctx):
         """outboxes: {sender: [(channel, recipient, payload), ...]}.
 
-        Returns {party: [(sender, channel, payload), ...]} in delivery
-        order. Also appends every send to the transcript.
+        ctx is what adversary strategies may read besides the phase
+        and the scenario: the EVSS batch's `instances` and `states`,
+        or the `active` parties. Returns {party: [(sender, channel,
+        payload), ...]} in delivery order. Also appends every send to
+        the transcript.
         """
+        outboxes = self.adversary.filter(
+            dict(ctx, phase=phase, scenario=self.s), outboxes)
         sends = []
         for sender in sorted(outboxes):
             for channel, recipient, payload in outboxes[sender]:
@@ -441,8 +451,10 @@ _STRATEGY_CLASSES = {
 
 class AdversaryController:
     """Owns strategy instances and their shared (colluding) state.
-    filter, the engine's only contact with it, lets each strategy
-    rewrite its own party's outbox; nothing reads who is corrupt."""
+    Network.exchange calls filter on every round, before delivery; it
+    lets each strategy rewrite its own party's outbox. That call is the
+    protocol's only contact with the adversary, so no protocol step
+    reads who is corrupt."""
 
     def __init__(self, scenario):
         self.shared = {"p": scenario.p, "coalition": scenario.adversary_ids}

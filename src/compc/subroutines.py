@@ -107,14 +107,13 @@ def _record_eliminations(network, phase, before, active):
             network.transcript.add_event("eliminate", phase, party, reason)
 
 
-def _deal_batch(network, adv, scenario, phase, active, instances, kind,
-                record_as):
+def _deal_batch(network, scenario, phase, active, instances, kind, record_as):
     """Run one EVSS batch on `phase`, eliminate every dealer it rejects
     with EvssRejectedDealer and record those eliminations under
     record_as. Returns {iid: EvssOutcome}."""
     before = set(active.eliminated)
-    outcomes = run_evss_batch(network, adv, scenario, phase, instances,
-                              kind=kind)
+    outcomes = run_evss_batch(network, scenario=scenario, prefix=phase,
+                              instances=instances, kind=kind)
     for b in instances:
         if not outcomes[b.iid].accepted:
             active.eliminate(b.dealer, EVSS_REJECTED)
@@ -122,7 +121,7 @@ def _deal_batch(network, adv, scenario, phase, active, instances, kind,
     return outcomes
 
 
-def _broadcast_rows(network, adv, scenario, phase, live, rows, shapes):
+def _broadcast_rows(network, scenario, phase, live, rows, shapes):
     """One broadcast exchange of per-party stacks, one stack per part.
 
     rows: {party: [stack per part]}; shapes: each part's stack shape.
@@ -136,9 +135,6 @@ def _broadcast_rows(network, adv, scenario, phase, live, rows, shapes):
     outboxes = {j: [(BCAST, -1, ("stm", rows[j][0] if single
                                  else tuple(rows[j])))]
                 for j in live}
-    ctx = {"phase": phase, "instances": {}, "states": {},
-           "scenario": scenario}
-    outboxes = adv.filter(ctx, outboxes)
     inboxes = network.exchange(phase, outboxes)
 
     got = [{} for _ in shapes]
@@ -171,8 +167,7 @@ def _combine(holdings, origins, hpub, shape, p):
     return mat_mul(hpub.T, flat, p).reshape((hpub.shape[1],) + tuple(shape))
 
 
-def shares_times_matrix(network, adv, scenario, phase, active, parts,
-                        e_max):
+def shares_times_matrix(network, scenario, phase, active, parts, e_max):
     """Publicly compute [x_origin1 .. x_originK] . hpub for every part,
     all parts in one broadcast.
 
@@ -197,8 +192,7 @@ def shares_times_matrix(network, adv, scenario, phase, active, parts,
     rows = {j: [_combine(holdings.get(j, {}), origins, hpub, shape, p)
                 for holdings, origins, hpub, _, shape in parts]
             for j in live}
-    words = _broadcast_rows(network, adv, scenario, phase, live, rows,
-                            shapes)
+    words = _broadcast_rows(network, scenario, phase, live, rows, shapes)
     out = []
     corrected = set()
     for (_, _, _, degree, _), word in zip(parts, words):
@@ -215,7 +209,7 @@ def shares_times_matrix(network, adv, scenario, phase, active, parts,
     return out
 
 
-def subshare_of_shares(network, adv, scenario, prefix, active, families):
+def subshare_of_shares(network, scenario, prefix, active, families):
     """Verified re-sharing of every active party's share of several F.
 
     families: [(tag, f_values, p_deg, zeta)], f_values {party: (r, c)
@@ -258,7 +252,7 @@ def subshare_of_shares(network, adv, scenario, prefix, active, families):
                 instances.append(BatchInstance(
                     iid, n, lab, evss_deal_poly(q, lab, rng)))
         tag = families[members[0]][0]
-        outcomes = _deal_batch(network, adv, s, f"{tag}:q", active,
+        outcomes = _deal_batch(network, s, f"{tag}:q", active,
                                instances, "subshare", tag)
         zero = np.zeros(shape, dtype=np.int64)
         for iid, (fx, n, q) in owner.items():
@@ -286,7 +280,7 @@ def subshare_of_shares(network, adv, scenario, prefix, active, families):
                           shapes[fx]))
     errs = set()
     if parts:
-        syns = shares_times_matrix(network, adv, s, f"{prefix}:syn", active,
+        syns = shares_times_matrix(network, s, f"{prefix}:syn", active,
                                    parts, budget)
         for code, syn in zip(codes, syns):
             if not syn.any():
@@ -302,7 +296,7 @@ def subshare_of_shares(network, adv, scenario, prefix, active, families):
     return bundles, active
 
 
-def verify_gap_form(network, adv, scenario, prefix, active, families):
+def verify_gap_form(network, scenario, prefix, active, families):
     """Check each origin's subshare polynomial for its interior zero run.
 
     families: [{origin: SubshareBundle}] from one subshare_of_shares
@@ -348,7 +342,7 @@ def verify_gap_form(network, adv, scenario, prefix, active, families):
 
     before = set(active.eliminated)
     words = _broadcast_rows(
-        network, adv, s, f"{prefix}:par", live, rows,
+        network, s, f"{prefix}:par", live, rows,
         [(len(checked) * k,) + shape for checked, _, k, shape in checks])
     budget = active.budget(t)
     for (checked, zeta, k, shape), word in zip(checks, words):
@@ -364,7 +358,7 @@ def verify_gap_form(network, adv, scenario, prefix, active, families):
     return active
 
 
-def eval_shared_poly(network, adv, scenario, prefix, active, polys, target):
+def eval_shared_poly(network, scenario, prefix, active, polys, target):
     """Everyone learns F(target) for every F from its shares F(alpha_n).
 
     polys: [(f_values, p_deg)]. Re-shares them all through one
@@ -381,7 +375,7 @@ def eval_shared_poly(network, adv, scenario, prefix, active, polys, target):
         raise TooFewSurvivors(
             f"{len(active.active)} active parties cannot fix degree {top}")
     bundles, active = subshare_of_shares(
-        network, adv, s, f"{prefix}:sub", active,
+        network, s, f"{prefix}:sub", active,
         [(f"{prefix}:sub{k}", vals, p_deg, 1)
          for k, (vals, p_deg) in enumerate(polys)])
     live = active.active
@@ -389,6 +383,6 @@ def eval_shared_poly(network, adv, scenario, prefix, active, polys, target):
                     dtype=np.int64).reshape(-1, 1)
     parts = [({j: {o: b[o].values[j] for o in live} for j in live}, live,
               hpub, t, b[live[0]].values[live[0]].shape) for b in bundles]
-    out = shares_times_matrix(network, adv, s, f"{prefix}:mix", active,
+    out = shares_times_matrix(network, s, f"{prefix}:mix", active,
                               parts, active.budget(t))
     return [v[0] for v in out]

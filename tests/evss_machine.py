@@ -136,11 +136,13 @@ def evss_round(state, inbox):
                 for item in msg.body:
                     if isinstance(item, tuple) and len(item) == 3 \
                             and item[0] not in state.reveals:
-                        state.reveals[item[0]] = (item[1], item[2])
+                        pair = (item[1], item[2])
+                        formed = _well_formed(pair, state.d1, state.shape, p)
+                        state.reveals[item[0]] = pair if formed else None
         if state.complaints:
             vote, adopted = vote_for(
                 state.party, state.polys, state.cross_in, state.complaints,
-                state.reveals, state.d1, state.shape, p)
+                state.reveals, p)
             state.polys = adopted
             if state.party in state.workers:
                 out.append(EvssMsg("vote", state.party, BCAST, (int(vote),)))

@@ -27,8 +27,8 @@ from compc.evss import evss_deal_poly
 from compc.gf import DEFAULT_PRIME, FMatrix, mat_mul, rref
 from compc.mpc import (ProgramOp, build_masks, mask_groups, mask_layout,
                        masked_product)
-from compc.net import (BCAST, PRIV, AdversaryController, Envelope, Network,
-                       Scenario, Transcript)
+from compc.net import (BCAST, PRIV, Envelope, Network, Scenario,
+                       Transcript)
 from compc.poly import MatPoly
 from compc.sharing import ShareLabel, make_share_poly
 from compc.subroutines import ActiveSet, SubshareBundle, verify_gap_form
@@ -368,8 +368,7 @@ def gap_view(n, t, m, p, secret, draws, leak):
                             m, {j: g for j, (_, g) in zip(s.workers, pairs)},
                             dealt)
     net = Network(s, Transcript())
-    verify_gap_form(net, AdversaryController(s), s, "gap",
-                    ActiveSet(s.workers), [{1: bundle}])
+    verify_gap_form(net, s, "gap", ActiveSet(s.workers), [{1: bundle}])
     rows = [e.payload[1].ravel() for e in net.transcript.envelopes]
     assert len(rows) == n
     return np.concatenate([c.ravel() for pair in pairs for c in pair] + rows)

@@ -306,6 +306,9 @@ class TestAuditCommand:
     ("sweep", "--samples", "5"),
     ("audit", "--strategy", "Silent"),
     ("run", "--scenario", fixture("identity.scn"), "--grid", "m=1"),
+    # prefixes of --seed and --prime: no abbreviation is read as an option
+    ("sweep", "--s", "5"),
+    ("run", "--scenario", fixture("threshold.scn"), "--pr", "7"),
 ])
 def test_options_a_command_does_not_read_are_refused(argv):
     with pytest.raises(SystemExit) as exc:

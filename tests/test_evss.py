@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import compc.evss
 from compc.errors import ParameterViolation
 from compc.evss import (BatchInstance, EvssDeal, _parse_complaint,
                         complaints_for, evss_deal, evss_deal_poly,
                         reveals_for, run_evss_batch, vote_for)
 from compc.gf import FMatrix, solve_particular
-from compc.net import (BCAST, PRIV, AdversaryController, Network, Scenario,
-                       Transcript, rng_for)
+from compc.net import BCAST, PRIV, Network, Scenario, Transcript, rng_for
 from compc.poly import MatPoly, horner, vandermonde
 from compc.sharing import ShareLabel, make_share_poly
 from evss_machine import EvssMsg, EvssParty, evss_finalize, evss_round
@@ -142,51 +142,63 @@ def test_reveals_only_for_wrong_claims_and_self():
 def test_vote_rules():
     deal = evss_deal(FMatrix(np.array([[9]]), P), ShareLabel(1, 1, 0),
                      np.random.default_rng(3))
-    d1, shape = deal.d1, deal.shape
     polys = _pair_for(deal, 1)
     cross = {j: (grid_value(deal, 1, j), grid_value(deal, j, 1)) for j in (2, 3, 4)}
 
     # no complaints that matter, everything consistent
-    ok, _ = vote_for(1, polys, cross, {}, {}, d1, shape, P)
+    ok, _ = vote_for(1, polys, cross, {}, {}, P)
     assert ok
 
     # unanswered self-complaint blocks
-    ok, _ = vote_for(1, polys, cross, {3: [("self",)]}, {}, d1, shape, P)
+    ok, _ = vote_for(1, polys, cross, {3: [("self",)]}, {}, P)
     assert not ok
     # answered self-complaint with a consistent reveal passes
     ok, _ = vote_for(1, polys, cross, {3: [("self",)]},
-                     {3: deal.polys_for(3)}, d1, shape, P)
+                     {3: deal.polys_for(3)}, P)
     assert ok
 
     # bidirectional pair, mutually consistent claims: false accusation
     c23 = ("pair", 3, grid_value(deal, 3, 2), grid_value(deal, 2, 3))
     c32 = ("pair", 2, grid_value(deal, 2, 3), grid_value(deal, 3, 2))
-    ok, _ = vote_for(1, polys, cross, {2: [c23], 3: [c32]}, {}, d1, shape, P)
+    ok, _ = vote_for(1, polys, cross, {2: [c23], 3: [c32]}, {}, P)
     assert ok
     # mutually inconsistent claims, nothing revealed: withhold
     c32_bad = ("pair", 2, (grid_value(deal, 2, 3) + 1) % P, grid_value(deal, 3, 2))
-    ok, _ = vote_for(1, polys, cross, {2: [c23], 3: [c32_bad]}, {},
-                     d1, shape, P)
+    ok, _ = vote_for(1, polys, cross, {2: [c23], 3: [c32_bad]}, {}, P)
     assert not ok
     # same clash but one side revealed consistently: pair rule is off
     ok, _ = vote_for(1, polys, cross, {2: [c23], 3: [c32_bad]},
-                     {3: deal.polys_for(3)}, d1, shape, P)
+                     {3: deal.polys_for(3)}, P)
     assert ok
 
     # reveal conflicting with own pair
     rf, rg = deal.polys_for(3)
     ok, _ = vote_for(1, polys, cross, {3: [("self",)]},
-                     {3: ((rf + 1) % P, rg)}, d1, shape, P)
+                     {3: ((rf + 1) % P, rg)}, P)
     assert not ok
 
     # own reveal: adopted iff well formed, vote iff it matches crosses
     mine = deal.polys_for(1)
-    ok, adopted = vote_for(1, None, cross, {1: [("self",)]}, {1: mine},
-                           d1, shape, P)
+    ok, adopted = vote_for(1, None, cross, {1: [("self",)]}, {1: mine}, P)
     assert ok and adopted is mine
     ok, _ = vote_for(1, None, cross, {1: [("self",)]},
-                     {1: ((mine[0] + 1) % P, mine[1])}, d1, shape, P)
+                     {1: ((mine[0] + 1) % P, mine[1])}, P)
     assert not ok
+
+
+def test_vote_reads_none_as_a_malformed_reveal():
+    deal = evss_deal(FMatrix(np.array([[9]]), P), ShareLabel(1, 1, 0),
+                     np.random.default_rng(3))
+    polys = _pair_for(deal, 1)
+    cross = {j: (grid_value(deal, 1, j), grid_value(deal, j, 1)) for j in (2, 3, 4)}
+    # answers the self-complaint, yet everyone withholds
+    assert vote_for(1, polys, cross, {3: [("self",)]}, {3: None}, P) == \
+        (False, polys)
+    # a malformed own reveal is not adopted
+    assert vote_for(1, None, cross, {1: [("self",)]}, {1: None}, P) == \
+        (False, None)
+    ok, adopted = vote_for(1, polys, cross, {1: [("self",)]}, {1: None}, P)
+    assert not ok and adopted is polys
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +361,13 @@ def batch_scenario(n=5, t=1, m=1, p=P, seed=0, z=2, adversaries=(),
 
 
 def fresh_net(scenario):
-    return Network(scenario, Transcript()), AdversaryController(scenario)
+    return Network(scenario, Transcript())
 
 
 def test_batch_honest_multi_dealer_early_accept():
     rng = np.random.default_rng(3)
     s = batch_scenario(inputs=(rand_matrix(rng, 2, 2),))
-    net, adv = fresh_net(s)
+    net = fresh_net(s)
     lab = ShareLabel(1, 1, 0)
     deals = {}
     instances = []
@@ -363,7 +375,7 @@ def test_batch_honest_multi_dealer_early_accept():
         deals[iid] = evss_deal(rand_matrix(rng, 2, 2), lab,
                                rng_for(s.seed, dealer, f"x:{iid}"))
         instances.append(BatchInstance(iid, dealer, lab, deals[iid]))
-    out = run_evss_batch(net, adv, s, "x", instances)
+    out = run_evss_batch(net, scenario=s, prefix="x", instances=instances)
     assert net.round == 3          # deal, cross, complain only
     for iid, res in out.items():
         assert res.accepted
@@ -377,19 +389,19 @@ def test_batch_honest_multi_dealer_early_accept():
 
 def test_batch_validates_instances():
     s = batch_scenario()
-    net, adv = fresh_net(s)
+    net = fresh_net(s)
     lab = ShareLabel(1, 1, 0)
     rng = np.random.default_rng(0)
     d1 = evss_deal(rand_matrix(rng, 2, 2), lab, rng)
     d2 = evss_deal(rand_matrix(rng, 2, 1), lab, rng)
     with pytest.raises(ParameterViolation):
-        run_evss_batch(net, adv, s, "x",
-                       [BatchInstance("a", 1, lab, d1),
-                        BatchInstance("a", 2, lab, d1)])
+        run_evss_batch(net, scenario=s, prefix="x",
+                       instances=[BatchInstance("a", 1, lab, d1),
+                                  BatchInstance("a", 2, lab, d1)])
     with pytest.raises(ParameterViolation):
-        run_evss_batch(net, adv, s, "x",
-                       [BatchInstance("a", 1, lab, d1),
-                        BatchInstance("b", 2, lab, d2)])
+        run_evss_batch(net, scenario=s, prefix="x",
+                       instances=[BatchInstance("a", 1, lab, d1),
+                                  BatchInstance("b", 2, lab, d2)])
 
 
 class OneBadRow:
@@ -413,19 +425,71 @@ class OneBadRow:
 
 def test_batch_drops_a_malformed_deal_stack_whole():
     s = batch_scenario()
-    net, _ = fresh_net(s)
+    net = fresh_net(s)
+    net.adversary = OneBadRow(s.p)
     lab = ShareLabel(1, 1, 0)
     rng = np.random.default_rng(12)
     instances = [BatchInstance(iid, 2, lab,
                                evss_deal(rand_matrix(rng, 2, 2), lab, rng))
                  for iid in ("a", "b")]
-    run_evss_batch(net, OneBadRow(s.p), s, "x", instances)
+    run_evss_batch(net, scenario=s, prefix="x", instances=instances)
     # party 3 holds neither instance, so it complains about both itself
     said = [item for e in net.transcript.envelopes
             if e.phase == "x:complain" and e.sender == 3
             for item in e.payload[1]]
     assert [item for item in said if item[1] == "self"] == \
         [("a", "self"), ("b", "self")]
+
+
+class DropDealSpoilReveal:
+    """Drops dealer 2's deal stack to party 3, so party 3 self-complains
+    and dealer 2 reveals party 3's pairs; with `spoil`, sets one entry
+    of the pair revealed for instance "a" to p, outside the field."""
+
+    def __init__(self, p, spoil):
+        self.p, self.spoil = p, spoil
+
+    def filter(self, ctx, outboxes):
+        if ctx["phase"].endswith(":deal"):
+            outboxes[2] = [s for s in outboxes[2] if s[1] != 3]
+        if self.spoil and ctx["phase"].endswith(":resolve"):
+            fresh = []
+            for channel, to, (tag, items) in outboxes[2]:
+                items = tuple((iid, who, rf.copy() if iid == "a" else rf, rg)
+                              for iid, who, rf, rg in items)
+                for iid, _, rf, _ in items:
+                    if iid == "a":
+                        rf[0, 0, 0] = self.p
+                fresh.append((channel, to, (tag, items)))
+            outboxes[2] = fresh
+        return outboxes
+
+
+@pytest.mark.parametrize("spoil", [False, True])
+def test_batch_validates_each_reveal_once(spoil, monkeypatch):
+    checked = []
+    real = compc.evss._well_formed
+    monkeypatch.setattr(compc.evss, "_well_formed",
+                        lambda *args: checked.append(args) or real(*args))
+    s = batch_scenario()
+    net = fresh_net(s)
+    net.adversary = DropDealSpoilReveal(s.p, spoil)
+    lab = ShareLabel(1, 1, 0)
+    rng = np.random.default_rng(14)
+    instances = [BatchInstance(iid, 2, lab,
+                               evss_deal(rand_matrix(rng, 2, 2), lab, rng))
+                 for iid in ("a", "b")]
+    out = run_evss_batch(net, scenario=s, prefix="x", instances=instances)
+    # one revealed pair per instance, each validated once for all voters
+    assert len(checked) == 2
+    # a malformed reveal answers the self-complaint but makes every
+    # party withhold, so only its instance is rejected
+    assert out["a"].accepted is not spoil
+    assert out["b"].accepted and out["b"].shares[3] is not None
+    votes = {e.sender: e.payload[1] for e in net.transcript.envelopes
+             if e.phase == "x:vote"}
+    assert all(bits == (("a", int(not spoil)), ("b", 1))
+               for bits in votes.values())
 
 
 def test_complaint_claims_must_be_field_arrays():
@@ -442,14 +506,14 @@ def test_batch_deterministic_transcript():
     for _ in range(2):
         rng = np.random.default_rng(9)
         s = batch_scenario(adversaries=((3, "RandomByzantine"),))
-        net, adv = fresh_net(s)
+        net = fresh_net(s)
         lab = ShareLabel(1, 1, 0)
         instances = [
             BatchInstance(f"i{d}", d, lab,
                           evss_deal(rand_matrix(rng, 2, 2), lab,
                                     rng_for(s.seed, d, "x:deal")))
             for d in (1, 2, 3)]
-        run_evss_batch(net, adv, s, "x", instances)
+        run_evss_batch(net, scenario=s, prefix="x", instances=instances)
         outs.append(net.transcript.serialize())
     assert outs[0] == outs[1]
 
@@ -518,12 +582,12 @@ def test_batch_agrees_with_state_machine(adversary, dealer, seed):
     lab = ShareLabel(1, 1, 0)
     s = batch_scenario(n=4, t=1, m=1, p=13, seed=seed, z=2,
                        adversaries=(adversary,) if adversary else ())
-    net, adv = fresh_net(s)
+    net = fresh_net(s)
     rng = np.random.default_rng(seed + 100)
     deal = evss_deal(rand_matrix(rng, 2, 2, 13), lab,
                      rng_for(s.seed, dealer, "x:deal"))
-    out = run_evss_batch(net, adv, s, "x",
-                         [BatchInstance("q", dealer, lab, deal)],
+    out = run_evss_batch(net, scenario=s, prefix="x",
+                         instances=[BatchInstance("q", dealer, lab, deal)],
                          kind="subshare")["q"]
 
     verdicts = replay_single_instance(
@@ -543,12 +607,12 @@ def test_batch_agrees_with_state_machine(adversary, dealer, seed):
 def test_batch_inconsistent_dealer_rejected():
     s = batch_scenario(n=4, t=1, m=1, p=P, seed=5, z=2,
                        adversaries=((2, "InconsistentEvssDealer"),))
-    net, adv = fresh_net(s)
+    net = fresh_net(s)
     lab = ShareLabel(1, 1, 0)
     rng = np.random.default_rng(2)
     deal = evss_deal(rand_matrix(rng, 2, 2), lab, rng_for(s.seed, 2, "x:deal"))
-    out = run_evss_batch(net, adv, s, "x",
-                         [BatchInstance("q", 2, lab, deal)])["q"]
+    out = run_evss_batch(net, scenario=s, prefix="x",
+                         instances=[BatchInstance("q", 2, lab, deal)])["q"]
     assert not out.accepted
     assert net.round == 5
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from compc.errors import (CompcError, DegreeMismatch, ParameterViolation,
                           TooFewSurvivors)
-from compc import mpc
+import compc.net
 from compc.gf import FMatrix, mat_mul
 from compc.mpc import (MaskSet, ProgramOp, SharedMatrix, add_shares,
                        build_masks, direct_to_reverse, execute,
@@ -59,7 +59,7 @@ def mul_setup(m, t, n=None, z=None, p=97, seed=0, adversaries=()):
     s = Scenario(n=n, t=t, m=m, p=p, seed=seed, z=z, program=(),
                  adversaries=tuple(adversaries)).validate()
     tr = Transcript()
-    return s, Network(s, tr), AdversaryController(s), ActiveSet(s.workers), tr
+    return s, Network(s, tr), ActiveSet(s.workers), tr
 
 
 # ---------------------------------------------------------------- threshold
@@ -220,13 +220,13 @@ def test_semi_honest_parameter_checks():
 
 @pytest.mark.parametrize("m,t", [(1, 1), (2, 1), (2, 2)])
 def test_multiply_malicious_honest(m, t):
-    s, net, adv, active, _ = mul_setup(m, t)
+    s, net, active, _ = mul_setup(m, t)
     rng = np.random.default_rng(10 + m + t)
     a = rand_fm(rng, s.z, s.z, s.p)
     b = rand_fm(rng, s.z, s.z, s.p)
     sa = shared_value(a, ShareLabel(m, t, 0, DIRECT), s.n, rng)
     sb = shared_value(b, ShareLabel(m, t, 0, REVERSE), s.n, rng)
-    out, active = multiply_malicious(net, adv, s, "mul", active, sa, sb)
+    out, active = multiply_malicious(net, s, "mul", active, sa, sb)
     assert active.eliminated == {}
     assert out.label == ShareLabel(m, t, 0, DIRECT)
     assert sorted(out.shares) == list(s.workers)
@@ -247,13 +247,13 @@ STRATEGY_EXPECTATIONS = [
 @pytest.mark.parametrize("name,expect", STRATEGY_EXPECTATIONS)
 def test_multiply_malicious_single_adversary(name, expect):
     m, t = 2, 1
-    s, net, adv, active, _ = mul_setup(m, t, adversaries=((3, name),))
+    s, net, active, _ = mul_setup(m, t, adversaries=((3, name),))
     rng = np.random.default_rng(77)
     a = rand_fm(rng, s.z, s.z, s.p)
     b = rand_fm(rng, s.z, s.z, s.p)
     sa = shared_value(a, ShareLabel(m, t, 0, DIRECT), s.n, rng)
     sb = shared_value(b, ShareLabel(m, t, 0, REVERSE), s.n, rng)
-    out, active = multiply_malicious(net, adv, s, "mul", active, sa, sb)
+    out, active = multiply_malicious(net, s, "mul", active, sa, sb)
     assert active.eliminated == expect
     assert np.array_equal(open_shared(out, s.p, t).a, direct_product(a, b))
 
@@ -261,21 +261,21 @@ def test_multiply_malicious_single_adversary(name, expect):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_multiply_malicious_random_byzantine(seed):
     m, t = 2, 1
-    s, net, adv, active, _ = mul_setup(m, t, seed=seed,
-                                       adversaries=((2, "RandomByzantine"),))
+    s, net, active, _ = mul_setup(m, t, seed=seed,
+                                  adversaries=((2, "RandomByzantine"),))
     rng = np.random.default_rng(100 + seed)
     a = rand_fm(rng, s.z, s.z, s.p)
     b = rand_fm(rng, s.z, s.z, s.p)
     sa = shared_value(a, ShareLabel(m, t, 0, DIRECT), s.n, rng)
     sb = shared_value(b, ShareLabel(m, t, 0, REVERSE), s.n, rng)
-    out, active = multiply_malicious(net, adv, s, "mul", active, sa, sb)
+    out, active = multiply_malicious(net, s, "mul", active, sa, sb)
     assert set(active.eliminated) <= {2}
     assert np.array_equal(open_shared(out, s.p, t).a, direct_product(a, b))
 
 
 def test_multiply_malicious_two_cheating_dealers():
     m, t = 1, 2
-    s, net, adv, active, _ = mul_setup(
+    s, net, active, _ = mul_setup(
         m, t, z=2, adversaries=((2, "WrongSubshareConstant"),
                                 (5, "WrongSubshareConstant")))
     rng = np.random.default_rng(9)
@@ -283,36 +283,36 @@ def test_multiply_malicious_two_cheating_dealers():
     b = rand_fm(rng, s.z, s.z, s.p)
     sa = shared_value(a, ShareLabel(m, t, 0, DIRECT), s.n, rng)
     sb = shared_value(b, ShareLabel(m, t, 0, REVERSE), s.n, rng)
-    out, active = multiply_malicious(net, adv, s, "mul", active, sa, sb)
+    out, active = multiply_malicious(net, s, "mul", active, sa, sb)
     assert active.eliminated == {2: BAD_SUBSHARE, 5: BAD_SUBSHARE}
     assert np.array_equal(open_shared(out, s.p, t).a, direct_product(a, b))
 
 
 def test_multiply_malicious_rejects_bad_operands():
     m, t = 2, 1
-    s, net, adv, active, _ = mul_setup(m, t)
+    s, net, active, _ = mul_setup(m, t)
     rng = np.random.default_rng(11)
     a = rand_fm(rng, s.z, s.z, s.p)
     direct = shared_value(a, ShareLabel(m, t, 0, DIRECT), s.n, rng)
     reverse = shared_value(a, ShareLabel(m, t, 0, REVERSE), s.n, rng)
     with pytest.raises(ParameterViolation):
-        multiply_malicious(net, adv, s, "mul", active, direct, direct)
+        multiply_malicious(net, s, "mul", active, direct, direct)
     with pytest.raises(ParameterViolation):
-        multiply_malicious(net, adv, s, "mul", active, reverse, direct)
+        multiply_malicious(net, s, "mul", active, reverse, direct)
 
 
 # ---------------------------------------------------------------- transforms
 
 def test_direction_swap_round_trip():
     m, t = 2, 1
-    s, net, adv, active, _ = mul_setup(m, t)
+    s, net, active, _ = mul_setup(m, t)
     rng = np.random.default_rng(20)
     a = rand_fm(rng, s.z, s.z, s.p)
     sv = shared_value(a, ShareLabel(m, t, 0, DIRECT), s.n, rng)
-    rev, active = direct_to_reverse(net, adv, s, "fwd", active, sv)
+    rev, active = direct_to_reverse(net, s, "fwd", active, sv)
     assert rev.label == ShareLabel(m, t, 0, REVERSE)
     assert np.array_equal(open_shared(rev, s.p, t).a, a.a)
-    back, active = reverse_to_direct(net, adv, s, "bck", active, rev)
+    back, active = reverse_to_direct(net, s, "bck", active, rev)
     assert back.label == ShareLabel(m, t, 0, DIRECT)
     assert np.array_equal(open_shared(back, s.p, t).a, a.a)
     assert active.eliminated == {}
@@ -320,23 +320,23 @@ def test_direction_swap_round_trip():
 
 def test_transpose_matches_transposed_secret():
     m, t = 2, 1
-    s, net, adv, active, _ = mul_setup(m, t, p=11)
+    s, net, active, _ = mul_setup(m, t, p=11)
     rng = np.random.default_rng(21)
     a = rand_fm(rng, s.z, s.z, s.p)
     sv = shared_value(a, ShareLabel(m, t, 0, DIRECT), s.n, rng)
-    out, active = transpose_shares(net, adv, s, "tr", active, sv)
+    out, active = transpose_shares(net, s, "tr", active, sv)
     assert out.label == sv.label
     assert np.array_equal(open_shared(out, s.p, t).a, a.a.T % s.p)
 
 
 def test_one_block_transforms_are_local():
     m, t = 1, 1
-    s, net, adv, active, _ = mul_setup(m, t, z=2)
+    s, net, active, _ = mul_setup(m, t, z=2)
     rng = np.random.default_rng(22)
     a = rand_fm(rng, s.z, s.z, s.p)
     sv = shared_value(a, ShareLabel(m, t, 0, DIRECT), s.n, rng)
-    rev, active = direct_to_reverse(net, adv, s, "fwd", active, sv)
-    tra, active = transpose_shares(net, adv, s, "tr", active, sv)
+    rev, active = direct_to_reverse(net, s, "fwd", active, sv)
+    tra, active = transpose_shares(net, s, "tr", active, sv)
     assert net.round == 0
     assert rev.label.dir == REVERSE
     for j in s.workers:
@@ -352,32 +352,32 @@ def test_one_block_transforms_are_local():
 ])
 def test_transforms_survive_cheating_legs(name, expect):
     m, t = 2, 1
-    s, net, adv, active, _ = mul_setup(m, t, adversaries=((4, name),))
+    s, net, active, _ = mul_setup(m, t, adversaries=((4, name),))
     rng = np.random.default_rng(23)
     a = rand_fm(rng, s.z, s.z, s.p)
     sv = shared_value(a, ShareLabel(m, t, 0, DIRECT), s.n, rng)
-    rev, active = direct_to_reverse(net, adv, s, "fwd", active, sv)
+    rev, active = direct_to_reverse(net, s, "fwd", active, sv)
     assert active.eliminated == expect
     assert np.array_equal(open_shared(rev, s.p, t).a, a.a)
 
 
 def test_transform_below_survivor_floor():
     m, t = 2, 1
-    s, net, adv, active, _ = mul_setup(m, t)
+    s, net, active, _ = mul_setup(m, t)
     rng = np.random.default_rng(24)
     a = rand_fm(rng, s.z, s.z, s.p)
     sv = shared_value(a, ShareLabel(m, t, 0, DIRECT), s.n, rng)
     for j in (2, 3, 4, 5):
         active.eliminate(j, EVSS_REJECTED)
     with pytest.raises((TooFewSurvivors, ParameterViolation)):
-        direct_to_reverse(net, adv, s, "fwd", active, sv)
+        direct_to_reverse(net, s, "fwd", active, sv)
 
 
 # ---------------------------------------------------------------- add
 
 def test_add_shares_is_pointwise():
     m, t = 2, 1
-    s, _, _, active, _ = mul_setup(m, t)
+    s, _, active, _ = mul_setup(m, t)
     rng = np.random.default_rng(25)
     a = rand_fm(rng, s.z, s.z, s.p)
     b = rand_fm(rng, s.z, s.z, s.p)
@@ -540,8 +540,9 @@ def test_grouped_masks_catch_an_interpolating_dealer():
     # product would be revealed; with it at the bottom it reaches degree
     # 6, honest points complain and the settlement eliminates the dealer.
     m, t = 2, 3
-    s, net, adv, active, _ = mul_setup(
+    s, net, active, _ = mul_setup(
         m, t, seed=3, adversaries=[(i, "SemiHonest") for i in (1, 2, 3)])
+    adv = net.adversary
     adv.shared["cheat"] = 1
     for party in adv.strategies:
         adv.strategies[party] = InterpolatingDealer(party, None, adv.shared)
@@ -550,7 +551,7 @@ def test_grouped_masks_catch_an_interpolating_dealer():
     b = rand_fm(rng, s.z, s.z, s.p)
     sa = shared_value(a, ShareLabel(m, t, 0, DIRECT), s.n, rng)
     sb = shared_value(b, ShareLabel(m, t, 0, REVERSE), s.n, rng)
-    out, active = multiply_malicious(net, adv, s, "mul", active, sa, sb)
+    out, active = multiply_malicious(net, s, "mul", active, sa, sb)
     assert np.array_equal(open_shared(out, s.p, t).a, direct_product(a, b))
     assert active.eliminated == {1: BAD_PRODUCT}
 
@@ -691,7 +692,7 @@ def test_the_engine_reaches_the_adversary_only_through_filter(name,
     s = program_scenario(n, t, m, z, p, 7, xs, program,
                          adversaries=((3, name), (8, name)))
     want = execute(s).serialize()
-    monkeypatch.setattr(mpc, "AdversaryController", FilterOnly)
+    monkeypatch.setattr(compc.net, "AdversaryController", FilterOnly)
     assert execute(s).serialize() == want
 
 
@@ -726,12 +727,12 @@ def test_execute_rejects_unknown_ops():
        st.integers(0, 2 ** 32))
 def test_multiply_property_honest(mt, seed):
     m, t = mt
-    s, net, adv, active, _ = mul_setup(m, t, seed=seed % 2 ** 32)
+    s, net, active, _ = mul_setup(m, t, seed=seed % 2 ** 32)
     rng = np.random.default_rng(seed)
     a = rand_fm(rng, s.z, s.z, s.p)
     b = rand_fm(rng, s.z, s.z, s.p)
     sa = shared_value(a, ShareLabel(m, t, 0, DIRECT), s.n, rng)
     sb = shared_value(b, ShareLabel(m, t, 0, REVERSE), s.n, rng)
-    out, active = multiply_malicious(net, adv, s, "mul", active, sa, sb)
+    out, active = multiply_malicious(net, s, "mul", active, sa, sb)
     assert active.eliminated == {}
     assert np.array_equal(open_shared(out, s.p, t).a, direct_product(a, b))

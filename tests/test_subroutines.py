@@ -24,7 +24,7 @@ def scen(n, t, p=97, seed=0, adversaries=(), m=1, z=2):
 
 
 def net_for(s):
-    return Network(s, Transcript()), AdversaryController(s)
+    return Network(s, Transcript())
 
 
 def rand_poly(rng, degree, shape, p):
@@ -50,24 +50,24 @@ def honest_bundles(live, f_vals, zeta, t, p, seed=11):
     return out
 
 
-def stm(net, adv, s, active, holdings, hpub):
+def stm(net, s, active, holdings, hpub):
     """One (1, 1) part of degree 0 at budget 1 through
     shares_times_matrix."""
-    return shares_times_matrix(net, adv, s, "p", active,
+    return shares_times_matrix(net, s, "p", active,
                                [(holdings, s.workers, hpub, 0, (1, 1))],
                                1)[0]
 
 
-def subshare(net, adv, s, active, f_vals, p_deg, zeta):
+def subshare(net, s, active, f_vals, p_deg, zeta):
     """One family through subshare_of_shares: (its bundles, active)."""
-    bundles, active = subshare_of_shares(net, adv, s, "sub", active,
+    bundles, active = subshare_of_shares(net, s, "sub", active,
                                          [("sub", f_vals, p_deg, zeta)])
     return bundles[0], active
 
 
-def evaluate(net, adv, s, active, f_vals, p_deg, target):
+def evaluate(net, s, active, f_vals, p_deg, target):
     """One polynomial through eval_shared_poly."""
-    return eval_shared_poly(net, adv, s, "ev", active, [(f_vals, p_deg)],
+    return eval_shared_poly(net, s, "ev", active, [(f_vals, p_deg)],
                             target)[0]
 
 
@@ -104,48 +104,48 @@ def test_active_set_order_and_monotone_reasons():
 
 def stm_setup(p=7, n=4, t=1, adversaries=(), values=(1, 2, 3, 4), seed=0):
     s = scen(n, t, p=p, adversaries=adversaries, seed=seed)
-    net, adv = net_for(s)
+    net = net_for(s)
     active = ActiveSet(s.workers)
     holdings = {j: {i: np.array([[v]], dtype=np.int64)
                     for i, v in zip(s.workers, values)}
                 for j in s.workers}
-    return s, net, adv, active, holdings
+    return s, net, active, holdings
 
 
 def test_stm_known_sum():
     # constants (1,2,3,4) against an all-ones column: 10 mod 7
-    s, net, adv, active, holdings = stm_setup()
+    s, net, active, holdings = stm_setup()
     hpub = np.ones((4, 1), dtype=np.int64)
-    out = stm(net, adv, s, active, holdings, hpub)
+    out = stm(net, s, active, holdings, hpub)
     assert out.shape == (1, 1, 1) and out[0, 0, 0] == 3
 
 
 def test_stm_zero_matrix_zero_output():
-    s, net, adv, active, holdings = stm_setup(
+    s, net, active, holdings = stm_setup(
         adversaries=((2, "RandomByzantine"),))
     hpub = np.zeros((4, 2), dtype=np.int64)
-    out = stm(net, adv, s, active, holdings, hpub)
+    out = stm(net, s, active, holdings, hpub)
     assert not out.any()
 
 
 @pytest.mark.parametrize("strategy", ["Silent", "RandomByzantine"])
 def test_stm_bad_rows_corrected(strategy):
     for seed in range(4):
-        s, net, adv, active, holdings = stm_setup(
+        s, net, active, holdings = stm_setup(
             adversaries=((3, strategy),), seed=seed)
         hpub = np.ones((4, 1), dtype=np.int64)
-        out = stm(net, adv, s, active, holdings, hpub)
+        out = stm(net, s, active, holdings, hpub)
         assert out[0, 0, 0] == 3
 
 
 def test_stm_too_many_bad_rows_aborts():
     # two parties hold garbage at budget 1: nothing decodes
-    s, net, adv, active, holdings = stm_setup()
+    s, net, active, holdings = stm_setup()
     holdings[2] = {i: np.array([[5]], dtype=np.int64) for i in s.workers}
     holdings[3] = {i: np.array([[2]], dtype=np.int64) for i in s.workers}
     hpub = np.ones((4, 1), dtype=np.int64)
     with pytest.raises(DecodingFailure):
-        stm(net, adv, s, active, holdings, hpub)
+        stm(net, s, active, holdings, hpub)
 
 
 def test_stm_row_liars_not_eliminated():
@@ -153,10 +153,10 @@ def test_stm_row_liars_not_eliminated():
     # sender stays active; every honest row is 1+2+3+4 = 3 mod 7
     named = 0
     for seed in range(6):
-        s, net, adv, active, holdings = stm_setup(
+        s, net, active, holdings = stm_setup(
             adversaries=((3, "RandomByzantine"),), seed=seed)
         hpub = np.ones((4, 1), dtype=np.int64)
-        assert stm(net, adv, s, active, holdings, hpub)[0, 0, 0] == 3
+        assert stm(net, s, active, holdings, hpub)[0, 0, 0] == 3
         sent = {e.sender: e.payload[1] for e in net.transcript.envelopes}
         lied = 3 not in sent or sent[3][0, 0, 0] != 3
         assert net.transcript.events == ([("correct", "p", 3)] if lied
@@ -169,11 +169,11 @@ def test_stm_row_liars_not_eliminated():
 def test_stm_parts_share_one_broadcast():
     # two parts of different shapes and degrees: one round, one
     # envelope per party, one result per part
-    s, net, adv, active, holdings = stm_setup()
+    s, net, active, holdings = stm_setup()
     wide = {j: {i: np.full((2, 3), i, dtype=np.int64) for i in s.workers}
             for j in s.workers}
     out = shares_times_matrix(
-        net, adv, s, "p", active,
+        net, s, "p", active,
         [(holdings, s.workers, np.ones((4, 1), dtype=np.int64), 0, (1, 1)),
          (wide, s.workers, np.eye(4, dtype=np.int64)[:, :2], 0, (2, 3))],
         1)
@@ -187,12 +187,12 @@ def test_stm_part_wider_than_max_dim():
     # the decoded constant is read from the coefficient array, so a
     # part may have more rows than an FMatrix allows (gf.MAX_DIM = 64)
     s = scen(4, 1, p=97)
-    net, adv = net_for(s)
+    net = net_for(s)
     rng = np.random.default_rng(15)
     vals = {i: rng.integers(0, 97, size=(65, 1)) for i in s.workers}
     holdings = {j: dict(vals) for j in s.workers}
     out = shares_times_matrix(
-        net, adv, s, "p", ActiveSet(s.workers),
+        net, s, "p", ActiveSet(s.workers),
         [(holdings, s.workers, np.ones((4, 1), dtype=np.int64), 0,
           (65, 1))], 1)[0]
     assert out.shape == (1, 65, 1)
@@ -205,12 +205,12 @@ def test_stm_part_wider_than_max_dim():
 
 def test_subshare_honest_bundles_interpolate():
     s = scen(5, 1, p=97)
-    net, adv = net_for(s)
+    net = net_for(s)
     active = ActiveSet(s.workers)
     rng = np.random.default_rng(8)
     fc = rand_poly(rng, 2, (2, 2), s.p)
     f_vals = shares_of(fc, s.workers, s.p)
-    bundles, active = subshare(net, adv, s, active, f_vals, 2, 2)
+    bundles, active = subshare(net, s, active, f_vals, 2, 2)
     assert active.eliminated == {}
     for n in s.workers:
         b = bundles[n]
@@ -226,12 +226,12 @@ def test_subshare_honest_bundles_interpolate():
 
 def test_subshare_wrong_constant_eliminated():
     s = scen(5, 1, p=97, adversaries=((3, "WrongSubshareConstant"),))
-    net, adv = net_for(s)
+    net = net_for(s)
     active = ActiveSet(s.workers)
     rng = np.random.default_rng(9)
     fc = rand_poly(rng, 2, (2, 2), s.p)
     f_vals = shares_of(fc, s.workers, s.p)
-    bundles, active = subshare(net, adv, s, active, f_vals, 2, 2)
+    bundles, active = subshare(net, s, active, f_vals, 2, 2)
     assert active.eliminated == {3: BAD_SUBSHARE}
     # honest origins unaffected
     from compc.poly import interpolate
@@ -247,12 +247,12 @@ def test_subshare_wrong_constant_eliminated():
 ])
 def test_subshare_rejected_dealer_eliminated(strategy, reason):
     s = scen(5, 1, p=97, seed=4, adversaries=((2, strategy),))
-    net, adv = net_for(s)
+    net = net_for(s)
     active = ActiveSet(s.workers)
     rng = np.random.default_rng(10)
     fc = rand_poly(rng, 2, (2, 2), s.p)
     f_vals = shares_of(fc, s.workers, s.p)
-    bundles, active = subshare(net, adv, s, active, f_vals, 2, 2)
+    bundles, active = subshare(net, s, active, f_vals, 2, 2)
     assert active.eliminated == {2: reason}
     assert not any(bundles[2].values[j].any() for j in s.workers)
 
@@ -261,14 +261,14 @@ def test_subshare_families_share_batches_and_one_syndrome_round():
     # families of one (zeta, shape) share an EVSS batch; every family's
     # syndrome rides the one :syn broadcast
     s = scen(5, 1, p=97)
-    net, adv = net_for(s)
+    net = net_for(s)
     rng = np.random.default_rng(16)
     polys = [rand_poly(rng, 2, shape, s.p)
              for shape in ((2, 2), (2, 2), (2, 2), (1, 2))]
     zetas = (2, 1, 2, 2)
     families = [(f"sub:f{k}", shares_of(fc, s.workers, s.p), 2, zeta)
                 for k, (fc, zeta) in enumerate(zip(polys, zetas))]
-    bundles, active = subshare_of_shares(net, adv, s, "sub",
+    bundles, active = subshare_of_shares(net, s, "sub",
                                          ActiveSet(s.workers), families)
     assert active.eliminated == {}
     phases = [e.phase for e in net.transcript.envelopes]
@@ -289,12 +289,12 @@ def test_subshare_families_share_batches_and_one_syndrome_round():
 
 def test_subshare_rejected_dealer_deals_no_later_batch():
     s = scen(5, 1, p=97, seed=4, adversaries=((2, "InconsistentEvssDealer"),))
-    net, adv = net_for(s)
+    net = net_for(s)
     rng = np.random.default_rng(17)
     families = [(f"sub:f{k}", shares_of(rand_poly(rng, 2, (2, 2), s.p),
                                         s.workers, s.p), 2, zeta)
                 for k, zeta in enumerate((2, 1))]
-    bundles, active = subshare_of_shares(net, adv, s, "sub",
+    bundles, active = subshare_of_shares(net, s, "sub",
                                          ActiveSet(s.workers), families)
     assert active.eliminated == {2: EVSS_REJECTED}
     assert 2 in bundles[0] and 2 not in bundles[1]
@@ -310,10 +310,10 @@ def test_subshare_deterministic_transcript():
     for _ in range(2):
         s = scen(5, 1, p=97, seed=6,
                  adversaries=((4, "RandomByzantine"),))
-        net, adv = net_for(s)
+        net = net_for(s)
         active = ActiveSet(s.workers)
         fc = rand_poly(np.random.default_rng(2), 2, (1, 1), s.p)
-        subshare(net, adv, s, active,
+        subshare(net, s, active,
                  shares_of(fc, s.workers, s.p), 2, 2)
         outs.append(net.transcript.serialize())
     assert outs[0] == outs[1]
@@ -325,12 +325,12 @@ def test_subshare_deterministic_transcript():
 
 def test_gap_form_honest_retains_everyone():
     s = scen(5, 1, p=97)
-    net, adv = net_for(s)
+    net = net_for(s)
     active = ActiveSet(s.workers)
     rng = np.random.default_rng(3)
     f_vals = shares_of(rand_poly(rng, 2, (2, 2), s.p), s.workers, s.p)
     bundles = honest_bundles(s.workers, f_vals, 2, s.t, s.p)
-    active = verify_gap_form(net, adv, s, "gap", active, [bundles])
+    active = verify_gap_form(net, s, "gap", active, [bundles])
     assert active.eliminated == {}
     # one broadcast: every party sends 3 parity rows per origin, nonzero
     assert net.round == 1
@@ -341,25 +341,25 @@ def test_gap_form_honest_retains_everyone():
 
 def test_gap_form_no_gap_is_a_noop():
     s = scen(4, 1, p=97)
-    net, adv = net_for(s)
+    net = net_for(s)
     active = ActiveSet(s.workers)
     f_vals = shares_of(rand_poly(np.random.default_rng(1), 1, (1, 1), s.p),
                        s.workers, s.p)
     bundles = honest_bundles(s.workers, f_vals, 1, s.t, s.p)
-    active = verify_gap_form(net, adv, s, "gap", active, [bundles])
+    active = verify_gap_form(net, s, "gap", active, [bundles])
     assert net.round == 0 and active.eliminated == {}
 
 
 def test_gap_form_bad_origin_eliminated():
     # adversary deals a consistent subshare with a nonzero gap slot
     s = scen(5, 1, p=97, adversaries=((2, "BadGapCoefficient"),))
-    net, adv = net_for(s)
+    net = net_for(s)
     active = ActiveSet(s.workers)
     rng = np.random.default_rng(5)
     f_vals = shares_of(rand_poly(rng, 2, (2, 2), s.p), s.workers, s.p)
-    bundles, active = subshare(net, adv, s, active, f_vals, 2, 2)
+    bundles, active = subshare(net, s, active, f_vals, 2, 2)
     assert active.eliminated == {}     # constants are right, EVSS accepts
-    active = verify_gap_form(net, adv, s, "gap", active, [bundles])
+    active = verify_gap_form(net, s, "gap", active, [bundles])
     assert active.eliminated == {2: BAD_GAP}
 
 
@@ -370,15 +370,15 @@ def test_gap_form_lying_parity_sender_blamed_not_origin(strategy):
     rng = np.random.default_rng(6)
     f_vals = shares_of(rand_poly(rng, 2, (2, 2), 97), clean.workers, 97)
     bundles = honest_bundles(clean.workers, f_vals, 2, 1, 97)
-    net, adv = net_for(clean)
-    verify_gap_form(net, adv, clean, "gap", ActiveSet(clean.workers),
+    net = net_for(clean)
+    verify_gap_form(net, clean, "gap", ActiveSet(clean.workers),
                     [bundles])
     truth = parity_rows(net.transcript)[4]
     blamed = 0
     for seed in range(6):
         s = scen(5, 1, p=97, seed=seed, adversaries=((4, strategy),))
-        net, adv = net_for(s)
-        active = verify_gap_form(net, adv, s, "gap", ActiveSet(s.workers),
+        net = net_for(s)
+        active = verify_gap_form(net, s, "gap", ActiveSet(s.workers),
                                  [bundles])
         sent = parity_rows(net.transcript).get(4)
         lied = sent is None or not np.array_equal(sent, truth)
@@ -391,23 +391,23 @@ def test_gap_form_bad_origin_blamed_next_to_lying_row():
     # t=2: origin 2 deals a gap violation through EVSS, then party 5
     # withholds its parity rows; each is blamed for its own fault
     s = scen(8, 2, p=97, seed=3, adversaries=((2, "BadGapCoefficient"),))
-    net, adv = net_for(s)
+    net = net_for(s)
     rng = np.random.default_rng(13)
     f_vals = shares_of(rand_poly(rng, 2, (2, 2), s.p), s.workers, s.p)
-    bundles, active = subshare(net, adv, s, ActiveSet(s.workers), f_vals,
+    bundles, active = subshare(net, s, ActiveSet(s.workers), f_vals,
                                2, 2)
     assert active.eliminated == {}
     s2 = scen(8, 2, p=97, seed=3, adversaries=((2, "BadGapCoefficient"),
                                                (5, "Silent")))
-    active = verify_gap_form(net, AdversaryController(s2), s2, "gap",
-                             active, [bundles])
+    net.adversary = AdversaryController(s2)
+    active = verify_gap_form(net, s2, "gap", active, [bundles])
     assert active.eliminated == {2: BAD_GAP, 5: BAD_SUBSHARE}
 
 
 def test_gap_form_beyond_budget_aborts_without_blame():
     # two parties lost their g polynomials at budget 1: nothing decodes
     s = scen(5, 1, p=97)
-    net, adv = net_for(s)
+    net = net_for(s)
     rng = np.random.default_rng(14)
     f_vals = shares_of(rand_poly(rng, 2, (2, 2), s.p), s.workers, s.p)
     bundles = honest_bundles(s.workers, f_vals, 2, s.t, s.p)
@@ -415,19 +415,19 @@ def test_gap_form_beyond_budget_aborts_without_blame():
         del b.g[3], b.g[4]
     active = ActiveSet(s.workers)
     with pytest.raises(DecodingFailure):
-        verify_gap_form(net, adv, s, "gap", active, [bundles])
+        verify_gap_form(net, s, "gap", active, [bundles])
     assert active.eliminated == {}
 
 
 def test_gap_coefficient_strategy_honest_without_gap():
     # nothing to corrupt when the label carries no gap
     s = scen(4, 1, p=97, adversaries=((2, "BadGapCoefficient"),))
-    net, adv = net_for(s)
+    net = net_for(s)
     active = ActiveSet(s.workers)
     f_vals = shares_of(rand_poly(np.random.default_rng(4), 1, (1, 1), s.p),
                        s.workers, s.p)
-    bundles, active = subshare(net, adv, s, active, f_vals, 1, 1)
-    active = verify_gap_form(net, adv, s, "gap", active, [bundles])
+    bundles, active = subshare(net, s, active, f_vals, 1, 1)
+    active = verify_gap_form(net, s, "gap", active, [bundles])
     assert active.eliminated == {}
 
 
@@ -438,22 +438,22 @@ def test_gap_coefficient_strategy_honest_without_gap():
 def test_eval_known_line():
     # F = 2 + 2x over GF(7): F(5) = 12 mod 7
     s = scen(4, 1, p=7)
-    net, adv = net_for(s)
+    net = net_for(s)
     active = ActiveSet(s.workers)
     fc = np.array([2, 2], dtype=np.int64).reshape(2, 1, 1)
-    out = evaluate(net, adv, s, active,
+    out = evaluate(net, s, active,
                    shares_of(fc, s.workers, s.p), 1, 5)
     assert out.shape == (1, 1) and out[0, 0] == 5
 
 
 def test_eval_constant_any_target():
     s = scen(4, 1, p=97)
-    net, adv = net_for(s)
+    net = net_for(s)
     active = ActiveSet(s.workers)
     fc = np.full((1, 1, 1), 3, dtype=np.int64)
     for target in (0, 1, 42):
-        n2, a2 = net_for(s)
-        out = evaluate(n2, a2, s, ActiveSet(s.workers),
+        n2 = net_for(s)
+        out = evaluate(n2, s, ActiveSet(s.workers),
                        shares_of(fc, s.workers, s.p), 0, target)
         assert out[0, 0] == 3
 
@@ -465,8 +465,8 @@ def test_eval_byzantine_broadcaster_unchanged():
     for seed in range(3):
         s = scen(4, 1, p=97, seed=seed,
                  adversaries=((2, "RandomByzantine"),))
-        net, adv = net_for(s)
-        out = evaluate(net, adv, s, ActiveSet(s.workers),
+        net = net_for(s)
+        out = evaluate(net, s, ActiveSet(s.workers),
                        shares_of(fc, s.workers, s.p), 1, 9)
         assert np.array_equal(out, expect)
         assert ActiveSet(s.workers).eliminated == {}
@@ -474,22 +474,22 @@ def test_eval_byzantine_broadcaster_unchanged():
 
 def test_eval_requires_enough_active_parties():
     s = scen(4, 1, p=97)
-    net, adv = net_for(s)
+    net = net_for(s)
     active = ActiveSet(s.workers)
     active.eliminate(1, EVSS_REJECTED)
     active.eliminate(2, EVSS_REJECTED)
     fc = rand_poly(np.random.default_rng(0), 2, (1, 1), s.p)
     with pytest.raises(TooFewSurvivors):
-        evaluate(net, adv, s, active,
+        evaluate(net, s, active,
                  shares_of(fc, s.workers, s.p), 2, 3)
 
 
 def test_eval_too_few_survivors_after_rejection():
     s = scen(4, 1, p=97, adversaries=((2, "InconsistentEvssDealer"),))
-    net, adv = net_for(s)
+    net = net_for(s)
     fc = rand_poly(np.random.default_rng(1), 3, (1, 1), s.p)
     with pytest.raises(TooFewSurvivors):
-        evaluate(net, adv, s, ActiveSet(s.workers),
+        evaluate(net, s, ActiveSet(s.workers),
                  shares_of(fc, s.workers, s.p), 3, 2)
 
 
@@ -503,16 +503,16 @@ def test_eval_too_few_survivors_after_rejection():
 def test_honest_pipeline_property(seed, t, zeta, p_deg):
     n = max(2 * t + p_deg + 1, 3 * t + zeta, 3 * t + 1, p_deg + 2)
     s = scen(n, t, p=97, seed=seed)
-    net, adv = net_for(s)
+    net = net_for(s)
     active = ActiveSet(s.workers)
     rng = np.random.default_rng(seed)
     fc = rand_poly(rng, p_deg, (2, 1), s.p)
     f_vals = shares_of(fc, s.workers, s.p)
-    bundles, active = subshare(net, adv, s, active, f_vals, p_deg, zeta)
-    active = verify_gap_form(net, adv, s, "gap", active, [bundles])
+    bundles, active = subshare(net, s, active, f_vals, p_deg, zeta)
+    active = verify_gap_form(net, s, "gap", active, [bundles])
     assert active.eliminated == {}
     target = int(rng.integers(0, s.p))
-    out = evaluate(net, adv, s, active, f_vals, p_deg, target)
+    out = evaluate(net, s, active, f_vals, p_deg, target)
     assert np.array_equal(out, horner(fc, [target], s.p)[0])
 
 
@@ -524,10 +524,10 @@ def test_adversarial_pipeline_never_eliminates_honest():
     for strategy, who in cases:
         for seed in range(3):
             s = scen(5, 1, p=97, seed=seed, adversaries=((who, strategy),))
-            net, adv = net_for(s)
+            net = net_for(s)
             active = ActiveSet(s.workers)
             fc = rand_poly(np.random.default_rng(seed + 50), 2, (2, 2), s.p)
             f_vals = shares_of(fc, s.workers, s.p)
-            bundles, active = subshare(net, adv, s, active, f_vals, 2, 2)
-            active = verify_gap_form(net, adv, s, "gap", active, [bundles])
+            bundles, active = subshare(net, s, active, f_vals, 2, 2)
+            active = verify_gap_form(net, s, "gap", active, [bundles])
             assert set(active.eliminated) <= {who}, (strategy, seed)
