@@ -28,6 +28,8 @@ One driver, run_evss_batch, applies these rules: it executes many
 same-shaped instances over the simulated network in five rounds, with
 the all-pairs checks vectorized across instances, and calls
 complaints_for, reveals_for and vote_for where a party must decide.
+A payload that does not fit its tag's form is dropped whole; a claim
+or a revealed pair that is not well formed is read as None.
 The test suite keeps a per-party state machine over the same rules
 (tests/evss_machine.py) as the reference the batch runner is checked
 against.
@@ -43,8 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterViolation
-from .gf import is_field_array
-from .net import BCAST, PRIV, tagged
+from .net import BCAST, PRIV, Field, OneOf, _fits, tagged
 from .poly import horner
 from .sharing import make_share_poly
 
@@ -89,11 +90,10 @@ def evss_deal(w, label, rng):
     return evss_deal_poly(make_share_poly(w, label, rng), label, rng)
 
 
-def _well_formed(pair, d1, shape, p):
-    """Both polynomials of a revealed (f, g) pair are field arrays of
-    d1 coefficients of `shape`."""
-    want = (d1,) + tuple(shape)
-    return all(is_field_array(c, want, p) for c in pair)
+def _pair_form(d1, shape, p):
+    """Form of a revealed (f, g) pair: two field arrays of d1
+    coefficients of `shape`."""
+    return (Field((d1,) + tuple(shape), p),) * 2
 
 
 def _values_eq(a, b):
@@ -117,15 +117,14 @@ def complaints_for(party, polys, cross_in, others, p):
     return out
 
 
-def reveals_for(deal, complaints, workers):
+def reveals_for(deal, complaints):
     """Dealer's answers: {party: (fc, gc)} for every self-complainer
-    and every complainer whose claimed values are wrong."""
+    and every complainer whose claimed values are wrong. Complainers
+    are workers: ingest drops complaints from anyone else."""
     if deal is None:
         return {}
     out = {}
     for i in sorted(complaints):
-        if i not in workers:
-            continue
         pair = deal.polys_for(i)
         claims = [item for item in complaints[i] if item[0] == "pair"]
         # own[x] = (f_i(a_j), g_i(a_j)) = (S(a_j, a_i), S(a_i, a_j))
@@ -156,8 +155,7 @@ def vote_for(party, polys, cross_in, complaints, reveals, p):
         if my_reveal is None:
             vote = False
         else:
-            checks += [(j, got) for j, got in cross_in.items()
-                       if got is not None]
+            checks += cross_in.items()
 
     # unanswered self-complaints block everyone
     for i, items in complaints.items():
@@ -217,28 +215,15 @@ class EvssOutcome(NamedTuple):
     g: dict         # worker -> (d+1, rows, cols) coeffs of g_i, or None
 
 
-def _parse_complaint(item, workers, shape, p):
-    """Validate a broadcast complaint item; None when malformed. A
-    claimed value that is not a field array of `shape` becomes None."""
-    if item[0] == "self" and len(item) == 1:
-        return ("self",)
-    if item[0] == "pair" and len(item) == 4 and item[1] in workers:
-        u, v = (x if is_field_array(x, shape, p) else None
-                for x in item[2:])
-        return ("pair", item[1], u, v)
-    return None
-
-
 def run_evss_batch(network,
                    *,  # mulperf's tracer misnames positional arguments
-                   scenario, prefix, instances, kind=None):
+                   scenario, prefix, instances):
     """Run many same-shaped instances through five network rounds.
 
-    All instances must share one (degree, value shape); `kind` is one
-    strategy-visible tag for all of them. Returns {iid: EvssOutcome}.
-    An instance nobody complained about finishes at the complaint
-    round; the resolve and vote rounds run only when something was
-    contested.
+    All instances must share one (degree, value shape). Returns
+    {iid: EvssOutcome}. An instance nobody complained about finishes
+    at the complaint round; the resolve and vote rounds run only when
+    something was contested.
     """
     s = scenario
     p = s.p
@@ -252,7 +237,7 @@ def run_evss_batch(network,
             raise ParameterViolation("mixed shapes in one batch")
     workers = s.workers
     all_iids = tuple(b.iid for b in instances)
-    registry = {b.iid: {"dealer": b.dealer, "label": b.label, "kind": kind}
+    registry = {b.iid: {"dealer": b.dealer, "label": b.label}
                 for b in instances}
     states = {i: {} for i in workers}
     ctx = {"instances": registry, "states": states}
@@ -278,12 +263,11 @@ def run_evss_batch(network,
     inboxes = network.exchange(f"{prefix}:deal", outboxes, **ctx)
 
     # a malformed stack is dropped whole: its recipient self-complains
-    pair_shape = (d1,) + tuple(shape)
+    stack = Field((None, d1) + tuple(shape), p)
     for i in workers:
-        for sender, (_, iids, fs, gs) in tagged(inboxes[i], PRIV, "evd", 4):
-            if not (isinstance(iids, tuple)
-                    and is_field_array(fs, (len(iids),) + pair_shape, p)
-                    and is_field_array(gs, (len(iids),) + pair_shape, p)):
+        for sender, (_, iids, fs, gs) in tagged(
+                inboxes[i], PRIV, ("evd", [str], stack, stack)):
+            if not len(iids) == len(fs) == len(gs):
                 continue
             for k, iid in enumerate(iids):
                 if iid in registry and registry[iid]["dealer"] == sender \
@@ -310,14 +294,13 @@ def run_evss_batch(network,
 
     # recv[i][j] = (position map, U stack, V stack), validated on ingest
     recv = {i: {} for i in workers}
+    points = Field((None,) + tuple(shape), p)
     for i in workers:
-        for sender, (_, iids, us, vs) in tagged(inboxes[i], PRIV, "evx", 4):
+        for sender, (_, iids, us, vs) in tagged(
+                inboxes[i], PRIV, ("evx", [str], points, points)):
             if sender not in workers or sender == i or sender in recv[i]:
                 continue
-            if not isinstance(iids, tuple) or len(set(iids)) != len(iids):
-                continue
-            if is_field_array(us, (len(iids),) + shape, p) \
-                    and is_field_array(vs, (len(iids),) + shape, p):
+            if len(set(iids)) == len(iids) == len(us) == len(vs):
                 recv[i][sender] = ({iid: k for k, iid in enumerate(iids)},
                                    us, vs)
 
@@ -368,18 +351,18 @@ def run_evss_batch(network,
     inboxes = network.exchange(f"{prefix}:complain", outboxes, **ctx)
 
     complaints = {iid: {} for iid in all_iids}
-    for sender, (_, items) in tagged(inboxes[workers[0]], BCAST, "evc", 2):
-        if sender not in workers or not isinstance(items, tuple):
+    claim = Field(tuple(shape), p)
+    for sender, (_, items) in tagged(inboxes[workers[0]], BCAST, ("evc", [
+            OneOf(((str, "self"), (str, "pair", int, object, object)))])):
+        if sender not in workers:
             continue
-        for item in items:
-            if not isinstance(item, tuple) or len(item) < 2:
+        for iid, *item in items:
+            if iid not in complaints \
+                    or item[0] == "pair" and item[1] not in workers:
                 continue
-            iid = item[0]
-            if iid not in complaints:
-                continue
-            parsed = _parse_complaint(item[1:], workers, shape, p)
-            if parsed is not None:
-                complaints[iid].setdefault(sender, []).append(parsed)
+            # a claimed value that is not a field array becomes None
+            item[2:] = [x if _fits(x, claim) else None for x in item[2:]]
+            complaints[iid].setdefault(sender, []).append(tuple(item))
     flagged = [b for b in instances if complaints[b.iid]]
 
     reveals = {iid: {} for iid in all_iids}
@@ -388,24 +371,20 @@ def run_evss_batch(network,
         # round 4: dealers answer contested instances
         outboxes = {d: [] for d in sorted({b.dealer for b in flagged})}
         for b in flagged:
-            ans = reveals_for(b.deal, complaints[b.iid], set(workers))
+            ans = reveals_for(b.deal, complaints[b.iid])
             if ans:
                 items = tuple((b.iid, i, pair[0], pair[1])
                               for i, pair in sorted(ans.items()))
                 outboxes[b.dealer].append((BCAST, -1, ("evr", items)))
         inboxes = network.exchange(f"{prefix}:resolve", outboxes, **ctx)
 
-        for sender, (_, items) in tagged(inboxes[workers[0]], BCAST, "evr",
-                                         2):
-            if not isinstance(items, tuple):
-                continue
-            for item in items:
-                if not isinstance(item, tuple) or len(item) != 4:
-                    continue
-                iid, who, rf, rg = item
+        revealed = _pair_form(d1, shape, p)
+        for sender, (_, items) in tagged(inboxes[workers[0]], BCAST, (
+                "evr", [(str, int, object, object)])):
+            for iid, who, rf, rg in items:
                 if iid in reveals and registry[iid]["dealer"] == sender \
                         and who not in reveals[iid]:
-                    formed = _well_formed((rf, rg), d1, shape, p)
+                    formed = _fits((rf, rg), revealed)
                     reveals[iid][who] = (rf, rg) if formed else None
 
         # round 5: votes on contested instances
@@ -424,14 +403,13 @@ def run_evss_batch(network,
             outboxes[i] = [(BCAST, -1, ("evv", tuple(bits)))]
         inboxes = network.exchange(f"{prefix}:vote", outboxes, **ctx)
 
-        for sender, (_, bits) in tagged(inboxes[workers[0]], BCAST, "evv",
-                                        2):
-            if sender not in workers or not isinstance(bits, tuple):
+        for sender, (_, bits) in tagged(inboxes[workers[0]], BCAST,
+                                        ("evv", [(str, int)])):
+            if sender not in workers:
                 continue
-            for item in bits:
-                if isinstance(item, tuple) and len(item) == 2 \
-                        and item[0] in votes and sender not in votes[item[0]]:
-                    votes[item[0]][sender] = bool(item[1])
+            for iid, bit in bits:
+                if iid in votes and sender not in votes[iid]:
+                    votes[iid][sender] = bool(bit)
 
     out = {}
     for b in instances:

@@ -79,12 +79,14 @@ _INT64 = np.dtype(np.int64)
 
 
 def is_field_array(a, shape, p):
-    """Whether a received payload entry is an int64 ndarray of exactly
-    `shape` (a tuple) with every entry in [0, p). Every protocol step
-    checks inbox arrays with this one rule before using them."""
+    """Whether a received payload entry is an int64 ndarray of `shape`
+    (a tuple; a leading None matches any length) with every entry in
+    [0, p). Every inbox array is judged by this one rule."""
     return (isinstance(a, np.ndarray) and a.dtype == _INT64
-            and a.shape == shape
-            and (a.size == 0 or (a.min() >= 0 and a.max() < p)))
+            and (a.shape == shape or shape[:1] == (None,)
+                 and a.ndim == len(shape) and a.shape[1:] == shape[1:])
+            # one reduction: a negative entry read as unsigned exceeds p
+            and (a.size == 0 or a.view(np.uint64).max() < p))
 
 
 def mat_mul(a, b, p):
@@ -186,10 +188,6 @@ class FMatrix:
         self.p = p
 
     @classmethod
-    def zeros(cls, rows, cols, p):
-        return cls(np.zeros((rows, cols), dtype=np.int64), p)
-
-    @classmethod
     def random(cls, rows, cols, p, rng):
         return cls(rng.integers(0, p, size=(rows, cols), dtype=np.int64), p)
 
@@ -228,9 +226,6 @@ class FMatrix:
     @property
     def T(self):
         return FMatrix(self.a.T, self.p)
-
-    def transpose(self):
-        return self.T
 
     def __eq__(self, other):
         if not isinstance(other, FMatrix):

@@ -52,8 +52,8 @@ import numpy as np
 from .errors import (DegreeMismatch, ParameterViolation, ProtocolAbort,
                      TooFewSurvivors)
 from .evss import BatchInstance, evss_deal, evss_deal_poly, run_evss_batch
-from .gf import FMatrix, is_field_array, mat_mul
-from .net import BCAST, PRIV, Network, Transcript, rng_for, tagged
+from .gf import FMatrix, mat_mul
+from .net import BCAST, PRIV, Field, Network, Transcript, rng_for, tagged
 from .poly import MatPoly, coeff_extraction_combo, horner
 from .sharing import (DIRECT, REVERSE, Share, ShareLabel, make_share_poly,
                       robust_reconstruct)
@@ -309,7 +309,7 @@ def multiply_malicious(network, scenario, prefix, active, sa, sb):
                                                  f"{prefix}:o{k:02d}")))
             for n, k in tags]
         outcomes = _deal_batch(network, s, f"{prefix}:o", active,
-                               instances, "odeal", f"{prefix}:o")
+                               instances, f"{prefix}:o")
         o_shares = {key: outcomes[b.iid].shares
                     for key, b in zip(tags, instances)
                     if outcomes[b.iid].accepted}
@@ -322,7 +322,7 @@ def multiply_malicious(network, scenario, prefix, active, sa, sb):
                                      rng_for(s.seed, n, f"{prefix}:c")))
         for n in dealers]
     outcomes = _deal_batch(network, s, f"{prefix}:c", active,
-                           instances, "cdeal", f"{prefix}:c")
+                           instances, f"{prefix}:c")
     c_shares = {n: outcomes[b.iid].shares for n, b in zip(dealers, instances)
                 if outcomes[b.iid].accepted}
     dealers = [n for n in dealers if n in active.active]
@@ -352,16 +352,9 @@ def multiply_malicious(network, scenario, prefix, active, sa, sb):
         outboxes[j] = items
     check_phase = f"{prefix}:check"
     inboxes = network.exchange(check_phase, outboxes, active=active.active)
-    complaints = set()
-    for sender, (_, named) in tagged(inboxes[0], BCAST, "mulcomplaint", 2):
-        if sender not in active.active:
-            continue
-        try:
-            accused = int(named)
-        except (TypeError, ValueError):
-            continue
-        if accused in dealers:
-            complaints.add((sender, accused))
+    complaints = {(sender, accused) for sender, (_, accused) in tagged(
+        inboxes[0], BCAST, ("mulcomplaint", int))
+        if sender in active.active and accused in dealers}
 
     # public settlement: evaluate everything the accused dealt at the
     # complainer's point and re-run the relation in the open
@@ -525,14 +518,11 @@ def _reveal(network, scenario, prefix, active, sv):
     phase = f"{prefix}:send"
     outboxes = {j: [(PRIV, 0, ("out", _held(sv, j)))] for j in active.active}
     inboxes = network.exchange(phase, outboxes)
-    recs = []
-    seen = set()
-    for sender, (_, v) in tagged(inboxes[0], PRIV, "out", 2):
-        if (sender in seen or sender not in active.active
-                or not is_field_array(v, (z, w), p)):
-            continue
-        seen.add(sender)
-        recs.append(Share(lab, sender, sender, FMatrix(v, p)))
+    got = {}
+    for sender, (_, v) in tagged(inboxes[0], PRIV, ("out", Field((z, w), p))):
+        if sender in active.active:
+            got.setdefault(sender, v)
+    recs = [Share(lab, j, j, FMatrix(v, p)) for j, v in got.items()]
     # withholding removes an error along with its point, so shrink the
     # budget to what the received count can actually correct
     t_eff = min(active.budget(s.t), max(0, (len(recs) - lab.threshold) // 2))

@@ -10,6 +10,11 @@ protocol code knows who is corrupt. Deliveries are sorted canonically
 (round, sender, channel kind, recipient) so the transcript is a pure
 function of the scenario.
 
+Every protocol step reads its inbox through tagged, with one form per
+payload tag. A payload that does not fit is dropped whole, as if never
+sent: honest parties always send payloads that fit, and a corrupt one
+may stay silent anyway.
+
 Randomness discipline: every honest draw comes from a stream keyed by
 (seed, party, phase tag), and the number of draws per phase depends
 only on the scenario. Adversary behavior therefore cannot perturb
@@ -28,16 +33,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterViolation
-from .gf import check_prime
+from .gf import check_prime, is_field_array
 
 BCAST = "bcast"
 PRIV = "priv"
-
-STRATEGY_NAMES = (
-    "SemiHonest", "InconsistentEvssDealer", "WrongSubshareConstant",
-    "BadGapCoefficient", "CorruptProductPoly", "FalseComplainer",
-    "RandomByzantine", "Silent",
-)
 
 
 def rng_for(seed, party, phase):
@@ -202,13 +201,55 @@ class Transcript:
         return buf.decode() if buf else "\n"
 
 
-def tagged(inbox, channel, tag, size):
+class Field(NamedTuple):
+    """Form of a field array; a leading None in `shape` is any length."""
+    shape: tuple
+    p: int
+
+
+class OneOf(tuple):
+    """Form of a value that fits at least one of the forms it holds."""
+
+
+def _fits(obj, form):
+    """Whether obj fits `form`; see tagged."""
+    kind = type(form)
+    if kind is tuple:
+        return (type(obj) is tuple and len(obj) == len(form)
+                and all(map(_fits, obj, form)))
+    if kind is Field:
+        return is_field_array(obj, *form)
+    if kind is str:
+        return type(obj) is str and obj == form
+    if kind is type:    # str: one name, as _names reads it; int: no bool
+        if form is str:
+            return (isinstance(obj, str) and ";" not in obj
+                    and _NAMES.fullmatch(obj) is not None)
+        return form is object or type(obj) is form
+    if kind is OneOf:
+        return any(_fits(obj, f) for f in form)
+    if type(obj) is not tuple:      # [form]: a tuple of any length
+        return False
+    if form[0] is not str:
+        return all(map(_fits, obj, [form[0]] * len(obj)))
+    try:    # names: one join and one match for a whole id tuple
+        _names(";".join(obj), len(obj))
+    except TypeError:
+        return False
+    return True
+
+
+def tagged(inbox, channel, form):
     """(sender, payload) for each delivery in inbox that came on
-    `channel` and whose payload is a tuple of `size` items starting
-    with `tag`; every protocol step reads its inbox through this."""
+    `channel` and whose payload fits `form`.
+
+    A form is a literal string (a tag), `str` (a name, as the
+    transcript writes it), `int` (not a bool), `object` (anything: the
+    reader judges it), Field(shape, p), a tuple of forms (item by
+    item), [form] (a tuple of any length) or OneOf((form, ...)).
+    """
     for sender, ch, payload in inbox:
-        if ch == channel and isinstance(payload, tuple) \
-                and len(payload) == size and payload[0] == tag:
+        if ch == channel and _fits(payload, form):
             yield sender, payload
 
 
@@ -340,7 +381,7 @@ class _DealOffsetStrategy(Strategy):
     so nobody complains and the sharing encodes the wrong polynomial.
     """
 
-    def _wants(self, meta):
+    def _wants(self, ctx, meta):
         raise NotImplementedError
 
     def _exp(self, meta):
@@ -353,7 +394,7 @@ class _DealOffsetStrategy(Strategy):
         offsets = {}
         exps = {}
         for iid, meta in ctx["instances"].items():
-            if meta["dealer"] == self.party and self._wants(meta):
+            if meta["dealer"] == self.party and self._wants(ctx, meta):
                 key = ("offset", iid)
                 if key not in self.shared:
                     self.shared[key] = int(self.rng.integers(1, p))
@@ -390,8 +431,8 @@ class _DealOffsetStrategy(Strategy):
 class WrongSubshareConstant(_DealOffsetStrategy):
     """Subshares F(alpha_n) + c instead of F(alpha_n)."""
 
-    def _wants(self, meta):
-        return meta.get("kind") == "subshare"
+    def _wants(self, ctx, meta):    # ":q" ends a subshare batch's prefix
+        return ctx["phase"].endswith(":q:deal")
 
     def _exp(self, meta):
         return 0
@@ -401,8 +442,8 @@ class BadGapCoefficient(_DealOffsetStrategy):
     """Puts a nonzero value into the first gap slot; honest when the
     instance labels carry no gap."""
 
-    def _wants(self, meta):
-        return meta.get("kind") == "subshare" and meta["label"].delta >= 1
+    def _wants(self, ctx, meta):
+        return ctx["phase"].endswith(":q:deal") and meta["label"].delta >= 1
 
     def _exp(self, meta):
         return meta["label"].m
@@ -411,8 +452,8 @@ class BadGapCoefficient(_DealOffsetStrategy):
 class CorruptProductPoly(_DealOffsetStrategy):
     """Deals a consistent sharing of a wrong product polynomial."""
 
-    def _wants(self, meta):
-        return meta.get("kind") == "cdeal"
+    def _wants(self, ctx, meta):    # ":c" ends a product deal's prefix
+        return ctx["phase"].endswith(":c:deal")
 
     def _exp(self, meta):
         lab = meta["label"]
@@ -447,6 +488,7 @@ _STRATEGY_CLASSES = {
     "RandomByzantine": RandomByzantine,
     "Silent": Silent,
 }
+STRATEGY_NAMES = tuple(_STRATEGY_CLASSES)
 
 
 class AdversaryController:

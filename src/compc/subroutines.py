@@ -50,8 +50,8 @@ import numpy as np
 
 from .errors import (DecodingFailure, ParameterViolation, TooFewSurvivors)
 from .evss import BatchInstance, evss_deal_poly, run_evss_batch
-from .gf import FMatrix, is_field_array, mat_mul
-from .net import BCAST, rng_for, tagged
+from .gf import FMatrix, mat_mul
+from .net import BCAST, Field, rng_for, tagged
 from .poly import lagrange_coeffs, vandermonde
 from .rscode import build_code, decode, syndrome_decode
 from .sharing import ShareLabel, make_share_poly
@@ -107,13 +107,13 @@ def _record_eliminations(network, phase, before, active):
             network.transcript.add_event("eliminate", phase, party, reason)
 
 
-def _deal_batch(network, scenario, phase, active, instances, kind, record_as):
+def _deal_batch(network, scenario, phase, active, instances, record_as):
     """Run one EVSS batch on `phase`, eliminate every dealer it rejects
     with EvssRejectedDealer and record those eliminations under
     record_as. Returns {iid: EvssOutcome}."""
     before = set(active.eliminated)
     outcomes = run_evss_batch(network, scenario=scenario, prefix=phase,
-                              instances=instances, kind=kind)
+                              instances=instances)
     for b in instances:
         if not outcomes[b.iid].accepted:
             active.eliminate(b.dealer, EVSS_REJECTED)
@@ -127,31 +127,24 @@ def _broadcast_rows(network, scenario, phase, live, rows, shapes):
     rows: {party: [stack per part]}; shapes: each part's stack shape.
     A party broadcasts ("stm", stack) for a single part and
     ("stm", (stack, ...)) for several. Returns one word
-    (len(live),) + shape per part, with malformed or missing stacks
-    replaced by zeros.
+    (len(live),) + shape per part; a party whose payload is missing or
+    does not fit contributes zeros to every part.
     """
-    p = scenario.p
     single = len(shapes) == 1
     outboxes = {j: [(BCAST, -1, ("stm", rows[j][0] if single
                                  else tuple(rows[j])))]
                 for j in live}
     inboxes = network.exchange(phase, outboxes)
 
-    got = [{} for _ in shapes]
-    for sender, (_, body) in tagged(inboxes[0], BCAST, "stm", 2):
-        if sender not in live:
-            continue
-        stacks = (body,) if single else body
-        if not isinstance(stacks, tuple) or len(stacks) != len(shapes):
-            continue
-        for part, y, shape in zip(got, stacks, shapes):
-            if sender not in part and is_field_array(y, shape, p):
-                part[sender] = y
-    words = []
-    for part, shape in zip(got, shapes):
-        zero = np.zeros(shape, dtype=np.int64)
-        words.append(np.stack([part.get(j, zero) for j in live]))
-    return words
+    stacks = tuple(Field(shape, scenario.p) for shape in shapes)
+    got = {}
+    for sender, (_, body) in tagged(inboxes[0], BCAST,
+                                    ("stm", stacks[0] if single else stacks)):
+        if sender in live and sender not in got:
+            got[sender] = (body,) if single else body
+    zeros = [np.zeros(shape, dtype=np.int64) for shape in shapes]
+    return [np.stack([got[j][k] if j in got else zero for j in live])
+            for k, zero in enumerate(zeros)]
 
 
 def _padded(values_by_party, roster, zero):
@@ -175,9 +168,10 @@ def shares_times_matrix(network, scenario, phase, active, parts, e_max):
     {party: {origin: shape ndarray}} with each party's value of the
     origin polynomial at its own point; absent entries enter the sum
     as zero. hpub: (len(origins), k). Returns one (k,) + shape result
-    per part, the same for every honest party. Each column is decoded
-    at the part's degree; rows further than e_max errors from a
-    codeword abort with DecodingFailure, and fewer than
+    per part, the same for every honest party. Each part's word is
+    decoded once at the part's degree (an error belongs to its sender's
+    row); one further than e_max rows from a codeword aborts with
+    DecodingFailure, and fewer than
     degree + 1 + 2 e_max live parties with TooFewSurvivors. A
     corrected row eliminates nobody: its sender is recorded as a
     ("correct", phase, party) event.
@@ -197,13 +191,12 @@ def shares_times_matrix(network, scenario, phase, active, parts, e_max):
     corrected = set()
     for (_, _, _, degree, _), word in zip(parts, words):
         active.require(degree + 1 + 2 * e_max)
-        res = np.zeros(word.shape[1:], dtype=np.int64)
-        for col in range(res.shape[0]):
-            poly, errs = decode(degree, live, word[:, col], e_max, p)
-            if poly.c.shape[0]:         # c is trimmed: zero when empty
-                res[col] = poly.c[0]
-            corrected |= errs
-        out.append(res)
+        # (N, k, r, c) -> (N, k*r, c): MatPoly needs 3-D coefficients
+        flat = word.reshape(len(live), -1, word.shape[-1])
+        poly, errs = decode(degree, live, flat, e_max, p)
+        # the constant term; c is trimmed, and an empty c sums to zero
+        out.append(poly.c[:1].sum(axis=0).reshape(word.shape[1:]))
+        corrected |= errs
     for party in sorted(corrected):
         network.transcript.add_event("correct", phase, int(party))
     return out
@@ -253,7 +246,7 @@ def subshare_of_shares(network, scenario, prefix, active, families):
                     iid, n, lab, evss_deal_poly(q, lab, rng)))
         tag = families[members[0]][0]
         outcomes = _deal_batch(network, s, f"{tag}:q", active,
-                               instances, "subshare", tag)
+                               instances, tag)
         zero = np.zeros(shape, dtype=np.int64)
         for iid, (fx, n, q) in owner.items():
             res = outcomes[iid]

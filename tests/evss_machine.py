@@ -3,18 +3,18 @@
 compc.evss runs verifiable sharing through one driver,
 run_evss_batch, which handles many instances per network round. This
 module drives one instance party by party over the same decision
-rules (complaints_for, reveals_for, vote_for and _well_formed from
-compc.evss), so the tests can replay a batch transcript through it and
-demand the same verdicts and shares. It is slow and exists only for
-tests.
+rules (complaints_for, reveals_for, vote_for and the revealed-pair
+form _pair_form from compc.evss), so the tests can replay a batch
+transcript through it and demand the same verdicts and shares. It is
+slow and exists only for tests.
 """
 
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from compc.evss import (EvssDeal, _well_formed, complaints_for,
+from compc.evss import (EvssDeal, _pair_form, complaints_for,
                         reveals_for, vote_for)
-from compc.net import BCAST, PRIV
+from compc.net import BCAST, PRIV, _fits
 from compc.poly import horner
 
 
@@ -66,8 +66,8 @@ class EvssParty:
         return tuple(j for j in self.workers if j != self.party)
 
     @property
-    def d1(self):
-        return self.label.degree + 1
+    def pair_form(self):
+        return _pair_form(self.label.degree + 1, self.shape, self.p)
 
 
 def evss_round(state, inbox):
@@ -90,7 +90,7 @@ def evss_round(state, inbox):
             if msg.kind == "deal" and msg.sender == state.dealer \
                     and state.polys is None:
                 pair = (msg.body[1], msg.body[2])
-                if _well_formed(pair, state.d1, state.shape, p):
+                if _fits(pair, state.pair_form):
                     state.polys = pair
         if state.polys is not None:
             fc, gc = state.polys
@@ -121,8 +121,7 @@ def evss_round(state, inbox):
                     and msg.sender not in state.complaints:
                 state.complaints[msg.sender] = list(msg.body)
         if state.party == state.dealer and state.complaints:
-            ans = reveals_for(state.deal, state.complaints,
-                              set(state.workers))
+            ans = reveals_for(state.deal, state.complaints)
             if ans:
                 out.append(EvssMsg("reveal", state.party, BCAST,
                                    tuple((i,) + pair
@@ -134,10 +133,10 @@ def evss_round(state, inbox):
         for msg in inbox:
             if msg.kind == "reveal" and msg.sender == state.dealer:
                 for item in msg.body:
-                    if isinstance(item, tuple) and len(item) == 3 \
+                    if _fits(item, (int, object, object)) \
                             and item[0] not in state.reveals:
                         pair = (item[1], item[2])
-                        formed = _well_formed(pair, state.d1, state.shape, p)
+                        formed = _fits(pair, state.pair_form)
                         state.reveals[item[0]] = pair if formed else None
         if state.complaints:
             vote, adopted = vote_for(

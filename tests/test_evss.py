@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import compc.evss
 from compc.errors import ParameterViolation
-from compc.evss import (BatchInstance, EvssDeal, _parse_complaint,
+from compc.evss import (BatchInstance, EvssDeal, _pair_form,
                         complaints_for, evss_deal, evss_deal_poly,
                         reveals_for, run_evss_batch, vote_for)
 from compc.gf import FMatrix, solve_particular
@@ -133,8 +133,7 @@ def test_reveals_only_for_wrong_claims_and_self():
                      np.random.default_rng(2))
     right = ("pair", 3, grid_value(deal, 3, 2), grid_value(deal, 2, 3))
     wrong = ("pair", 3, (grid_value(deal, 3, 4) + 1) % P, grid_value(deal, 4, 3))
-    ans = reveals_for(deal, {2: [right], 4: [wrong], 1: [("self",)]},
-                      {1, 2, 3, 4})
+    ans = reveals_for(deal, {2: [right], 4: [wrong], 1: [("self",)]})
     assert sorted(ans) == [1, 4]
     assert np.array_equal(ans[4][0], deal.polys_for(4)[0])
 
@@ -467,11 +466,14 @@ class DropDealSpoilReveal:
 
 @pytest.mark.parametrize("spoil", [False, True])
 def test_batch_validates_each_reveal_once(spoil, monkeypatch):
-    checked = []
-    real = compc.evss._well_formed
-    monkeypatch.setattr(compc.evss, "_well_formed",
-                        lambda *args: checked.append(args) or real(*args))
     s = batch_scenario()
+    pair_form = _pair_form(2, (2, 2), s.p)
+    checked = []
+    real = compc.evss._fits
+    monkeypatch.setattr(
+        compc.evss, "_fits",
+        lambda obj, form: (form != pair_form or checked.append(obj)
+                           or real(obj, form)))
     net = fresh_net(s)
     net.adversary = DropDealSpoilReveal(s.p, spoil)
     lab = ShareLabel(1, 1, 0)
@@ -492,13 +494,39 @@ def test_batch_validates_each_reveal_once(spoil, monkeypatch):
                for bits in votes.values())
 
 
-def test_complaint_claims_must_be_field_arrays():
+class ClaimAs3:
+    """Replaces party 3's complaint broadcast with the given items."""
+
+    def __init__(self, items):
+        self.items = items
+
+    def filter(self, ctx, outboxes):
+        if ctx["phase"].endswith(":complain"):
+            outboxes[3] = [(BCAST, -1, ("evc", self.items))]
+        return outboxes
+
+
+def test_complaint_claims_must_be_field_arrays(monkeypatch):
+    # complaints as the batch ingests them, read where dealer 1 answers
+    seen = []
+    real = compc.evss.reveals_for
+    monkeypatch.setattr(compc.evss, "reveals_for",
+                        lambda deal, complaints:
+                        seen.append(complaints) or real(deal, complaints))
     good = np.ones((2, 2), dtype=np.int64)
     item = ("pair", 2, good.astype(np.float64), good)
-    parsed = _parse_complaint(item, (1, 2, 3), (2, 2), P)
-    assert parsed[:3] == ("pair", 2, None) and parsed[3] is good
     out_of_range = ("pair", 2, good, good * P)
-    assert _parse_complaint(out_of_range, (1, 2, 3), (2, 2), P)[3] is None
+    s = batch_scenario()
+    net = fresh_net(s)
+    net.adversary = ClaimAs3((("a",) + item, ("a",) + out_of_range))
+    lab = ShareLabel(1, 1, 0)
+    rng = np.random.default_rng(15)
+    run_evss_batch(net, scenario=s, prefix="x", instances=[
+        BatchInstance("a", 1, lab, evss_deal(rand_matrix(rng, 2, 2), lab,
+                                             rng))])
+    parsed, parsed_out_of_range = seen[0][3]
+    assert parsed[:3] == ("pair", 2, None) and parsed[3] is good
+    assert parsed_out_of_range[3] is None
 
 
 def test_batch_deterministic_transcript():
@@ -586,9 +614,9 @@ def test_batch_agrees_with_state_machine(adversary, dealer, seed):
     rng = np.random.default_rng(seed + 100)
     deal = evss_deal(rand_matrix(rng, 2, 2, 13), lab,
                      rng_for(s.seed, dealer, "x:deal"))
-    out = run_evss_batch(net, scenario=s, prefix="x",
-                         instances=[BatchInstance("q", dealer, lab, deal)],
-                         kind="subshare")["q"]
+    # a ":q" prefix marks a subshare batch, where WrongSubshareConstant acts
+    out = run_evss_batch(net, scenario=s, prefix="x:q", instances=[
+        BatchInstance("q", dealer, lab, deal)])["q"]
 
     verdicts = replay_single_instance(
         net.transcript.envelopes, "q", s.n, s.t, lab, (2, 2), 13,

@@ -179,3 +179,9 @@ def test_is_field_array_one_rule():
     assert not is_field_array(good, (2, 2, 1), p)
     assert not is_field_array(np.zeros((0,), dtype=np.int64), (2, 2), p)
     assert not is_field_array(np.zeros((0, 2)), (0, 2), p)
+    # a leading None matches any length, in the leading dimension only
+    assert is_field_array(good, (None, 2), p)
+    assert is_field_array(np.zeros((0, 2), dtype=np.int64), (None, 2), p)
+    assert not is_field_array(good, (None, 3), p)
+    assert not is_field_array(good, (None,), p)
+    assert not is_field_array(good, (2, None), p)

@@ -22,8 +22,8 @@ from compc.mpc import (MaskSet, ProgramOp, SharedMatrix, add_shares,
                        multiply_malicious, multiply_semi_honest,
                        recovery_threshold,
                        reverse_to_direct, transpose_shares)
-from compc.net import (STRATEGY_NAMES, AdversaryController, Network,
-                       Scenario, Strategy, Transcript, run_scenario)
+from compc.net import (BCAST, STRATEGY_NAMES, AdversaryController,
+                       Network, Scenario, Strategy, Transcript, run_scenario)
 from compc.poly import MatPoly, coeff_extraction_combo, interpolate
 from compc.sharing import (DIRECT, REVERSE, Share, ShareLabel,
                            make_share_poly, reconstruct, robust_reconstruct)
@@ -492,9 +492,9 @@ class InterpolatingDealer(Strategy):
         for iid, meta in ctx["instances"].items():
             if meta["dealer"] != self.party:
                 continue
-            if meta["kind"] == "cdeal":
+            if ctx["phase"].endswith(":c:deal"):
                 out[iid] = [0] * (m - 1) + [self.DELTA]
-            elif meta["kind"] == "odeal":
+            elif ctx["phase"].endswith(":o:deal"):
                 out[iid] = groups[int(iid.split("x")[1])]
         return out
 
@@ -639,6 +639,95 @@ def test_program_with_adversary_matches_oracle(name):
     assert np.array_equal(tr.master_output.a, xs[0] @ xs[1].T % p)
     bad = [e for e in tr.events if e[0] == "eliminate" and e[2] != 2]
     assert bad == []
+
+
+# A multi-entry array: it has no truth value and is not hashable.
+ARR = np.arange(4, dtype=np.int64).reshape(2, 2)
+
+
+def _rewrite(tag, fn):
+    """An outbox edit that passes every payload tagged `tag` through fn."""
+    def edit(ctx, outbox):
+        return [(ch, to, fn(ctx, pl) if pl[0] == tag else pl)
+                for ch, to, pl in outbox]
+    return edit
+
+
+def _add(suffix, make):
+    """An outbox edit that broadcasts make(ctx) as well in every round
+    whose phase ends in `suffix`."""
+    def edit(ctx, outbox):
+        if ctx["phase"].endswith(suffix):
+            outbox = outbox + [(BCAST, -1, make(ctx))]
+        return outbox
+    return edit
+
+
+def _self_complaint(ctx):
+    """A valid complaint, about an instance party 2 deals where it deals
+    one: the batch resolves and votes, and party 2 answers it."""
+    own = [iid for iid, meta in ctx["instances"].items()
+           if meta["dealer"] == 2]
+    return ("evc", ((min(own or ctx["instances"]), "self"),))
+
+
+def _both(first, second):
+    return lambda ctx, outbox: second(ctx, first(ctx, outbox))
+
+
+FORGED = {
+    # these six raised TypeError or ValueError in every honest party
+    # before every inbox was read through one form per tag
+    "evd-array-id": _rewrite(
+        "evd", lambda ctx, pl: (pl[0], (ARR,) + pl[1][1:]) + pl[2:]),
+    "evx-array-id": _rewrite(
+        "evx", lambda ctx, pl: (pl[0], (ARR,) + pl[1][1:]) + pl[2:]),
+    "evc-array-self": _add(":complain", lambda ctx: ("evc", ((ARR, "self"),))),
+    "evc-pair-of-arrays": _add(":complain", lambda ctx: (
+        "evc", ((min(ctx["instances"]), "pair", ARR, ARR, ARR),))),
+    "evv-array-id": _both(_add(":complain", _self_complaint),
+                          _add(":vote", lambda ctx: ("evv", ((ARR, 1),)))),
+    "evr-array-id": _both(_add(":complain", _self_complaint), _add(
+        ":resolve", lambda ctx: ("evr", ((ARR, 1, ARR, ARR),)))),
+    # these did not crash before either
+    "stm-list": _rewrite("stm", lambda ctx, pl: (pl[0], [pl[1]])),
+    "stm-short": _rewrite("stm", lambda ctx, pl: (pl[0], ())),
+    "mulcomplaint-bool": _add("mul:check", lambda ctx: ("mulcomplaint", True)),
+    "mulcomplaint-array": _add("mul:check",
+                               lambda ctx: ("mulcomplaint", ARR)),
+    "out-0d": _rewrite("out", lambda ctx, pl: (pl[0], np.array(5))),
+    "out-float": _rewrite("out", lambda ctx, pl: (pl[0],
+                                                  pl[1].astype(float))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORGED))
+def test_malformed_payloads_are_dropped_whole(case, monkeypatch):
+    """One in-budget party adds or rewrites one well-tagged payload per
+    round of one kind. The run returns exactly A.B^T or raises a typed
+    error, and no honest party is eliminated."""
+    edit = FORGED[case]
+
+    class Forger(Strategy):
+        def act(self, ctx, outbox):
+            return edit(ctx, list(outbox))
+
+    monkeypatch.setitem(compc.net._STRATEGY_CLASSES, "SemiHonest", Forger)
+    p, m, t, n, z = 97, 2, 1, 6, 4
+    rng = np.random.default_rng(37)
+    xs = [rng.integers(0, p, size=(z, z)) for _ in range(2)]
+    program = [ProgramOp("share", (0, DIRECT), "a"),
+               ProgramOp("share", (1, REVERSE), "b"),
+               ProgramOp("mul", ("a", "b"), "c"),
+               ProgramOp("reveal", ("c",))]
+    s = program_scenario(n, t, m, z, p, 22, xs, program,
+                         adversaries=((2, "SemiHonest"),))
+    try:
+        tr = execute(s)
+    except CompcError:
+        return
+    assert np.array_equal(tr.master_output.a, xs[0] @ xs[1].T % p)
+    assert [e for e in tr.events if e[0] == "eliminate" and e[2] != 2] == []
 
 
 @pytest.mark.parametrize("m, t", [(1, 1), (1, 2), (2, 1), (2, 2)])
