@@ -17,8 +17,8 @@ Vote rules:
     polynomial revealed and mutually inconsistent claimed values,
     makes everyone withhold (mutually consistent claims indicate a
     false accusation, not a bad dealer, and are ignored);
-  - a revealed polynomial that is malformed or conflicts with a
-    party's own pair makes that party withhold;
+  - a revealed polynomial that conflicts with a party's own pair
+    makes that party withhold;
   - a party whose own pair was revealed adopts it and votes Consistent
     iff the revealed pair matches every cross point it holds.
 If nobody complains, everyone accepts immediately and the resolve and
@@ -28,8 +28,9 @@ One driver, run_evss_batch, applies these rules: it executes many
 same-shaped instances over the simulated network in five rounds, with
 the all-pairs checks vectorized across instances, and calls
 complaints_for, reveals_for and vote_for where a party must decide.
-A payload that does not fit its tag's form is dropped whole; a claim
-or a revealed pair that is not well formed is read as None.
+Each payload is read with one strict form per tag and dropped whole
+if any item does not fit, so a malformed claim or revealed pair counts
+as a complaint or an answer never sent.
 The test suite keeps a per-party state machine over the same rules
 (tests/evss_machine.py) as the reference the batch runner is checked
 against.
@@ -45,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterViolation
-from .net import BCAST, PRIV, Field, OneOf, _fits, tagged
+from .net import BCAST, PRIV, Field, tagged
 from .poly import horner
 from .sharing import make_share_poly
 
@@ -96,10 +97,6 @@ def _pair_form(d1, shape, p):
     return (Field((d1,) + tuple(shape), p),) * 2
 
 
-def _values_eq(a, b):
-    return a is not None and b is not None and np.array_equal(a, b)
-
-
 def complaints_for(party, polys, cross_in, others, p):
     """Complaints a party must broadcast given its pair and received
     cross points. Returns [("self",)] or [("pair", j, u, v), ...]."""
@@ -110,8 +107,8 @@ def complaints_for(party, polys, cross_in, others, p):
     for j, (own_u, own_v) in zip(js, horner(np.stack(polys, axis=1), js, p)):
         got = cross_in.get(j)
         ok = (got is not None
-              and _values_eq(got[0], own_v)    # f_j(a_i) = g_i(a_j)
-              and _values_eq(got[1], own_u))   # g_j(a_i) = f_i(a_j)
+              and np.array_equal(got[0], own_v)    # f_j(a_i) = g_i(a_j)
+              and np.array_equal(got[1], own_u))   # g_j(a_i) = f_i(a_j)
         if not ok:
             out.append(("pair", j, own_u, own_v))
     return out
@@ -130,7 +127,7 @@ def reveals_for(deal, complaints):
         # own[x] = (f_i(a_j), g_i(a_j)) = (S(a_j, a_i), S(a_i, a_j))
         own = horner(np.stack(pair, axis=1), [c[1] for c in claims], deal.p)
         if any(item[0] == "self" for item in complaints[i]) or not all(
-                _values_eq(u, f) and _values_eq(v, g)
+                np.array_equal(u, f) and np.array_equal(v, g)
                 for (_, _, u, v), (f, g) in zip(claims, own)):
             out[i] = pair
     return out
@@ -138,12 +135,9 @@ def reveals_for(deal, complaints):
 
 def vote_for(party, polys, cross_in, complaints, reveals, p):
     """(vote, adopted polys) under the module's vote rules. reveals
-    maps each revealed party to its pair, or to None when the pair
-    was malformed; the caller validates each pair once, at ingest."""
-    my_reveal = reveals.get(party)
-    if my_reveal is not None:
-        polys = my_reveal
-
+    maps each revealed party to its pair; the caller validates each
+    pair once, at ingest."""
+    polys = reveals.get(party, polys)
     if polys is None:
         return False, None
     fc, gc = polys
@@ -152,10 +146,7 @@ def vote_for(party, polys, cross_in, complaints, reveals, p):
     checks = []
     vote = True
     if party in reveals:
-        if my_reveal is None:
-            vote = False
-        else:
-            checks += cross_in.items()
+        checks += cross_in.items()
 
     # unanswered self-complaints block everyone
     for i, items in complaints.items():
@@ -174,24 +165,22 @@ def vote_for(party, polys, cross_in, complaints, reveals, p):
         back = claims.get((j, i))
         if back is None:
             continue
-        if not (_values_eq(u_ij, back[1]) and _values_eq(v_ij, back[0])):
+        if not (np.array_equal(u_ij, back[1])
+                and np.array_equal(v_ij, back[0])):
             vote = False
 
-    # every other reveal must be well formed and match my own pair:
+    # every other reveal must match my own pair:
     # (f_k(a_party), g_k(a_party)) = (g(a_k), f(a_k))
     others = [(k, pair) for k, pair in reveals.items() if k != party]
-    formed = [(k, pair) for k, pair in others if pair is not None]
-    if len(formed) < len(others):
-        vote = False
-    if formed:
+    if others:
         theirs = horner(np.stack([np.stack(pair, axis=1)
-                                  for _, pair in formed], axis=1),
+                                  for _, pair in others], axis=1),
                         [party], p)[0]
-        checks += [(k, got) for (k, _), got in zip(formed, theirs)]
+        checks += [(k, got) for (k, _), got in zip(others, theirs)]
 
     if checks:
         mine = horner(np.stack([gc, fc], axis=1), [x for x, _ in checks], p)
-        if not all(_values_eq(got[0], g) and _values_eq(got[1], f)
+        if not all(np.array_equal(got[0], g) and np.array_equal(got[1], f)
                    for (_, got), (g, f) in zip(checks, mine)):
             vote = False
 
@@ -340,29 +329,34 @@ def run_evss_batch(network,
             for iid in doubted:
                 suspect[i].setdefault(iid, []).append(j)
 
+    # ("evc", self-complained ids, ((iid, j, u, v), ...) pair claims)
     outboxes = {}
     for i in workers:
-        items = []
+        selfs, pairs = [], []
         for iid, senders in sorted(suspect[i].items()):
             for item in complaints_for(i, states[i].get(iid),
                                        cross_views(i, iid), senders, p):
-                items.append((iid,) + item)
-        outboxes[i] = [(BCAST, -1, ("evc", tuple(items)))] if items else []
+                if item[0] == "self":
+                    selfs.append(iid)
+                else:
+                    pairs.append((iid,) + item[1:])
+        outboxes[i] = [(BCAST, -1, ("evc", tuple(selfs), tuple(pairs)))] \
+            if selfs or pairs else []
     inboxes = network.exchange(f"{prefix}:complain", outboxes, **ctx)
 
     complaints = {iid: {} for iid in all_iids}
     claim = Field(tuple(shape), p)
-    for sender, (_, items) in tagged(inboxes[workers[0]], BCAST, ("evc", [
-            OneOf(((str, "self"), (str, "pair", int, object, object)))])):
+    for sender, (_, selfs, pairs) in tagged(
+            inboxes[workers[0]], BCAST,
+            ("evc", [str], [(str, int, claim, claim)])):
         if sender not in workers:
             continue
-        for iid, *item in items:
-            if iid not in complaints \
-                    or item[0] == "pair" and item[1] not in workers:
-                continue
-            # a claimed value that is not a field array becomes None
-            item[2:] = [x if _fits(x, claim) else None for x in item[2:]]
-            complaints[iid].setdefault(sender, []).append(tuple(item))
+        items = [(iid, ("self",)) for iid in selfs] + [
+            (iid, ("pair", j, u, v)) for iid, j, u, v in pairs
+            if j in workers]
+        for iid, item in items:
+            if iid in complaints:
+                complaints[iid].setdefault(sender, []).append(item)
     flagged = [b for b in instances if complaints[b.iid]]
 
     reveals = {iid: {} for iid in all_iids}
@@ -378,14 +372,11 @@ def run_evss_batch(network,
                 outboxes[b.dealer].append((BCAST, -1, ("evr", items)))
         inboxes = network.exchange(f"{prefix}:resolve", outboxes, **ctx)
 
-        revealed = _pair_form(d1, shape, p)
         for sender, (_, items) in tagged(inboxes[workers[0]], BCAST, (
-                "evr", [(str, int, object, object)])):
+                "evr", [(str, int) + _pair_form(d1, shape, p)])):
             for iid, who, rf, rg in items:
-                if iid in reveals and registry[iid]["dealer"] == sender \
-                        and who not in reveals[iid]:
-                    formed = _fits((rf, rg), revealed)
-                    reveals[iid][who] = (rf, rg) if formed else None
+                if iid in reveals and registry[iid]["dealer"] == sender:
+                    reveals[iid].setdefault(who, (rf, rg))
 
         # round 5: votes on contested instances
         outboxes = {}

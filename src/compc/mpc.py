@@ -69,15 +69,6 @@ def recovery_threshold(m, t):
     return 3 * t + 2 * m - 1
 
 
-class MaskSet(NamedTuple):
-    """One worker's masks O_0..O_{m+t-2}, each of degree at most t.
-
-    multiply_malicious deals them in groups (see mask_groups), never
-    one by one.
-    """
-    o_polys: tuple      # m+t-1 polynomials of degree at most t
-
-
 class SharedMatrix(NamedTuple):
     """A value the pool holds jointly: party -> share polynomial point."""
     label: ShareLabel
@@ -99,21 +90,25 @@ def _held(sv, party):
 
 
 def build_masks(a_n, b_n, m, t, rng):
-    """Masks O_0..O_{m+t-2} cancelling the high product coefficients.
+    """Masks cancelling the high product coefficients, grouped as dealt.
 
-    Each mask has degree at most t with uniform lower coefficients.
-    Subtracting x^(m+l) O_l from a_n * b_n^T removes every coefficient
-    above m+t-1 without touching coefficients 0..m-1: the top mask
-    coefficients are fixed by a descending recursion where each one
-    absorbs the product coefficient at its power minus whatever the
-    masks above it already inject there.
+    The masks O_0..O_{m+t-2} have degree at most t and uniform lower
+    coefficients. Subtracting x^(m+l) O_l from a_n * b_n^T removes
+    every coefficient above m+t-1 and keeps coefficients 0..m-1: a
+    descending recursion fixes each top coefficient to the product
+    coefficient at its power minus what the masks above inject there.
+    Returns [(a_k, M_k)] in mask_layout order, M_k(x) =
+    sum_l x^(l-a_k) O_l(x) over group k, so that sum_k x^(m+a_k) M_k =
+    sum_l x^(m+l) O_l. Each M_k has degree at most
+    min(2m-1, m+t-1) + t - 1 (see mask_layout); none at t = 0.
     """
     p = a_n.p
     dmax = m + t - 1
-    if a_n.degree > dmax or b_n.degree > dmax:
+    prod = a_n.mul(b_n.transpose_coeffs())
+    # at t = 0 no mask is returned, so the product must fit degree m-1
+    if max(a_n.degree, b_n.degree) > dmax or not t and prod.degree > dmax:
         raise DegreeMismatch(
             f"operand degrees {a_n.degree}, {b_n.degree} exceed {dmax}")
-    prod = a_n.mul(b_n.transpose_coeffs())
     shape = prod.shape
     d = np.zeros((2 * dmax + 1,) + shape, dtype=np.int64)
     d[:prod.c.shape[0]] = prod.c
@@ -128,7 +123,14 @@ def build_masks(a_n, b_n, m, t, rng):
         for l in range(lead + 1, min(count - 1, e - m) + 1):
             acc = (acc - o[l, e - m - l]) % p
         o[lead, t] = acc
-    return MaskSet(tuple(MatPoly(o[l], p) for l in range(count)))
+    starts, _ = mask_layout(m, t)
+    groups = []
+    for a, b in zip(starts, starts[1:] + [count]):
+        mk = np.zeros((b - a + t,) + shape, dtype=np.int64)
+        for l in range(a, b):
+            mk[l - a:l - a + t + 1] += o[l]
+        groups.append((a, MatPoly(mk, p)))
+    return groups
 
 
 def mask_layout(m, t):
@@ -154,31 +156,11 @@ def mask_layout(m, t):
     return [0] + list(range(rest, count, size)), size
 
 
-def mask_groups(masks, m):
-    """The masks as one polynomial per group of mask_layout.
-
-    Returns [(a_k, M_k)] with M_k(x) = sum_l x^(l-a_k) O_l(x) over the
-    masks of group k, so that sum_l x^(m+l) O_l equals
-    sum_k x^(m+a_k) M_k. Each M_k has degree at most
-    min(2m-1, m+t-1) + t - 1, which a settlement's public evaluation
-    can still decode with t errors among 3t+2m-1 points.
-    """
-    polys = masks.o_polys
-    starts, _ = mask_layout(m, len(polys) - m + 1)
-    out = []
-    for a, b in zip(starts, starts[1:] + [len(polys)]):
-        poly = polys[a]
-        for i, o in enumerate(polys[a + 1:b], 1):
-            poly = poly + o.shift(i)
-        out.append((a, poly))
-    return out
-
-
-def masked_product(a_n, b_n, masks, m):
-    """C_n = a_n * b_n^T - sum_l x^(m+l) O_l."""
+def masked_product(a_n, b_n, groups, m):
+    """C_n = a_n * b_n^T - sum_k x^(m+a_k) M_k over build_masks' groups."""
     out = a_n.mul(b_n.transpose_coeffs())
-    for l, o in enumerate(masks.o_polys):
-        out = out - o.shift(m + l)
+    for a, mk in groups:
+        out = out - mk.shift(m + a)
     return out
 
 
@@ -247,7 +229,7 @@ def multiply_malicious(network, scenario, prefix, active, sa, sb):
     under one (m, t). Worker points are re-shared and verified (left
     value with gap m-1, right row piece j with gap m-1-j), every
     worker deals its masks, one polynomial M_k per group of at most
-    2m-1 (mask_layout, mask_groups), and its masked product polynomial
+    2m-1 (mask_layout, build_masks), and its masked product polynomial
     through the consistency layer, and the product relation
     C_n = a_n b_n^T - sum_k x^(m+a_k) M_k is checked at every point.
     All mask groups share one label of degree
@@ -288,10 +270,10 @@ def multiply_malicious(network, scenario, prefix, active, sa, sb):
     qa = {n: a_bundles[n].q for n in dealers}
     qb = {n: sum((b[n].q.shift(j) for j, b in enumerate(b_bundles)),
                  MatPoly.zero(w, w, p)) for n in dealers}
-    masksets = {n: build_masks(qa[n], qb[n], m, t,
-                               rng_for(s.seed, n, f"{prefix}:mask"))
-                for n in dealers}
-    cpoly = {n: masked_product(qa[n], qb[n], masksets[n], m) for n in dealers}
+    groups = {n: build_masks(qa[n], qb[n], m, t,
+                             rng_for(s.seed, n, f"{prefix}:mask"))
+              for n in dealers}
+    cpoly = {n: masked_product(qa[n], qb[n], groups[n], m) for n in dealers}
 
     # mask deals, one polynomial per group of mask_layout (group k
     # starts at mask starts[k]); none at t = 0
@@ -300,7 +282,6 @@ def multiply_malicious(network, scenario, prefix, active, sa, sb):
     o_shares = {}
     if starts:
         olab = ShareLabel(size, t, 0)
-        groups = {n: mask_groups(masksets[n], m) for n in dealers}
         tags = [(n, k) for n in dealers for k in range(len(starts))]
         instances = [
             BatchInstance(f"o{n:03d}x{k:02d}", n, olab,

@@ -10,10 +10,14 @@ protocol code knows who is corrupt. Deliveries are sorted canonically
 (round, sender, channel kind, recipient) so the transcript is a pure
 function of the scenario.
 
-Every protocol step reads its inbox through tagged, with one form per
-payload tag. A payload that does not fit is dropped whole, as if never
-sent: honest parties always send payloads that fit, and a corrupt one
-may stay silent anyway.
+Every protocol step reads its inbox through tagged, with one strict
+form per payload tag and no lenient item. A payload that does not fit
+is dropped whole, as if never sent: honest parties always send
+payloads that fit, and a corrupt one may stay silent anyway. A
+corrupted party's send whose channel is neither BCAST nor PRIV, or
+whose private recipient is not a party id, is dropped the same way,
+before delivery and before the transcript; the same header from an
+honest party is a protocol bug and raises ParameterViolation.
 
 Randomness discipline: every honest draw comes from a stream keyed by
 (seed, party, phase tag), and the number of draws per phase depends
@@ -207,10 +211,6 @@ class Field(NamedTuple):
     p: int
 
 
-class OneOf(tuple):
-    """Form of a value that fits at least one of the forms it holds."""
-
-
 def _fits(obj, form):
     """Whether obj fits `form`; see tagged."""
     kind = type(form)
@@ -225,9 +225,7 @@ def _fits(obj, form):
         if form is str:
             return (isinstance(obj, str) and ";" not in obj
                     and _NAMES.fullmatch(obj) is not None)
-        return form is object or type(obj) is form
-    if kind is OneOf:
-        return any(_fits(obj, f) for f in form)
+        return type(obj) is form
     if type(obj) is not tuple:      # [form]: a tuple of any length
         return False
     if form[0] is not str:
@@ -244,9 +242,10 @@ def tagged(inbox, channel, form):
     `channel` and whose payload fits `form`.
 
     A form is a literal string (a tag), `str` (a name, as the
-    transcript writes it), `int` (not a bool), `object` (anything: the
-    reader judges it), Field(shape, p), a tuple of forms (item by
-    item), [form] (a tuple of any length) or OneOf((form, ...)).
+    transcript writes it), `int` (not a bool), Field(shape, p), a tuple
+    of forms (item by item) or [form] (a tuple of any length). There is
+    no lenient part: a payload with one item that does not fit is
+    dropped whole.
     """
     for sender, ch, payload in inbox:
         if ch == channel and _fits(payload, form):
@@ -271,8 +270,8 @@ class Network:
         ctx is what adversary strategies may read besides the phase
         and the scenario: the EVSS batch's `instances` and `states`,
         or the `active` parties. Returns {party: [(sender, channel,
-        payload), ...]} in delivery order. Also appends every send to
-        the transcript.
+        payload), ...]} in delivery order. Also appends every delivered
+        send to the transcript.
         """
         outboxes = self.adversary.filter(
             dict(ctx, phase=phase, scenario=self.s), outboxes)
@@ -281,8 +280,12 @@ class Network:
             for channel, recipient, payload in outboxes[sender]:
                 if channel == BCAST:
                     recipient = -1
-                elif recipient not in self.parties:
-                    raise ParameterViolation(f"unknown recipient {recipient}")
+                elif channel != PRIV or type(recipient) is not int \
+                        or recipient not in self.parties:
+                    if sender in self.s.adversary_ids:
+                        continue
+                    raise ParameterViolation(
+                        f"bad header {channel!r} to {recipient!r}")
                 sends.append(Envelope(self.round, sender, channel,
                                       recipient, phase, payload))
         sends.sort(key=lambda e: (e.sender, e.channel, e.recipient))

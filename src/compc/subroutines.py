@@ -125,23 +125,18 @@ def _broadcast_rows(network, scenario, phase, live, rows, shapes):
     """One broadcast exchange of per-party stacks, one stack per part.
 
     rows: {party: [stack per part]}; shapes: each part's stack shape.
-    A party broadcasts ("stm", stack) for a single part and
-    ("stm", (stack, ...)) for several. Returns one word
+    A party broadcasts ("stm", (stack, ...)). Returns one word
     (len(live),) + shape per part; a party whose payload is missing or
     does not fit contributes zeros to every part.
     """
-    single = len(shapes) == 1
-    outboxes = {j: [(BCAST, -1, ("stm", rows[j][0] if single
-                                 else tuple(rows[j])))]
-                for j in live}
+    outboxes = {j: [(BCAST, -1, ("stm", tuple(rows[j])))] for j in live}
     inboxes = network.exchange(phase, outboxes)
 
     stacks = tuple(Field(shape, scenario.p) for shape in shapes)
     got = {}
-    for sender, (_, body) in tagged(inboxes[0], BCAST,
-                                    ("stm", stacks[0] if single else stacks)):
-        if sender in live and sender not in got:
-            got[sender] = (body,) if single else body
+    for sender, (_, body) in tagged(inboxes[0], BCAST, ("stm", stacks)):
+        if sender in live:
+            got.setdefault(sender, body)
     zeros = [np.zeros(shape, dtype=np.int64) for shape in shapes]
     return [np.stack([got[j][k] if j in got else zero for j in live])
             for k, zero in enumerate(zeros)]

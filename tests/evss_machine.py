@@ -131,13 +131,11 @@ def evss_round(state, inbox):
 
     if state.phase == "vote":
         for msg in inbox:
-            if msg.kind == "reveal" and msg.sender == state.dealer:
-                for item in msg.body:
-                    if _fits(item, (int, object, object)) \
-                            and item[0] not in state.reveals:
-                        pair = (item[1], item[2])
-                        formed = _fits(pair, state.pair_form)
-                        state.reveals[item[0]] = pair if formed else None
+            # a reveal that does not fit is dropped whole, as the batch does
+            if msg.kind == "reveal" and msg.sender == state.dealer \
+                    and _fits(msg.body, [(int,) + state.pair_form]):
+                for who, fc, gc in msg.body:
+                    state.reveals.setdefault(who, (fc, gc))
         if state.complaints:
             vote, adopted = vote_for(
                 state.party, state.polys, state.cross_in, state.complaints,

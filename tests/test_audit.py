@@ -25,8 +25,7 @@ from compc.audit import (LEAK_PRODUCT, LEAK_SOURCE, AuditTemplate, DistTable,
 from compc.errors import ParameterViolation, SpaceTooLarge
 from compc.evss import evss_deal_poly
 from compc.gf import DEFAULT_PRIME, FMatrix, mat_mul, rref
-from compc.mpc import (ProgramOp, build_masks, mask_groups, mask_layout,
-                       masked_product)
+from compc.mpc import ProgramOp, build_masks, mask_layout, masked_product
 from compc.net import (BCAST, PRIV, Envelope, Network, Scenario,
                        Transcript)
 from compc.poly import MatPoly
@@ -369,7 +368,7 @@ def gap_view(n, t, m, p, secret, draws, leak):
                             dealt)
     net = Network(s, Transcript())
     verify_gap_form(net, s, "gap", ActiveSet(s.workers), [{1: bundle}])
-    rows = [e.payload[1].ravel() for e in net.transcript.envelopes]
+    rows = [e.payload[1][0].ravel() for e in net.transcript.envelopes]
     assert len(rows) == n
     return np.concatenate([c.ravel() for pair in pairs for c in pair] + rows)
 
@@ -484,9 +483,9 @@ def mask_view(m, t, p, tops, draws, leak):
     up): a_n = tops_1 x + .. and b_n = x^(m+t-1), so its product with
     b_n^T carries them at exactly those powers. The real build_masks
     draws the masks' uniform coefficients (the first (m+t-1)·t draws,
-    zeroed by `leak`), the real mask_groups forms one polynomial per
-    group, and the real dealing code embeds each group in a bivariate
-    from the remaining draws (rows 1..D per group; row 0 is M_k).
+    zeroed by `leak`) and forms one polynomial per group, and the real
+    dealing code embeds each group in a bivariate from the remaining
+    draws (rows 1..D per group; row 0 is M_k).
     Returns, worker by worker, every group's f and g coefficients,
     flattened.
     """
@@ -495,7 +494,7 @@ def mask_view(m, t, p, tops, draws, leak):
     b_n = MatPoly(np.eye(count + 1, dtype=np.int64)[count].reshape(-1, 1, 1),
                   p)
     own = np.zeros(count * t, dtype=np.int64) if leak else draws[:count * t]
-    groups = mask_groups(build_masks(a_n, b_n, m, t, ScriptedRng(own)), m)
+    groups = build_masks(a_n, b_n, m, t, ScriptedRng(own))
     lab = ShareLabel(mask_layout(m, t)[1], t)
     d1 = lab.degree + 1
     rest = draws[count * t:]

@@ -176,28 +176,13 @@ def test_vote_rules():
                      {3: ((rf + 1) % P, rg)}, P)
     assert not ok
 
-    # own reveal: adopted iff well formed, vote iff it matches crosses
+    # own reveal: adopted, vote iff it matches crosses
     mine = deal.polys_for(1)
     ok, adopted = vote_for(1, None, cross, {1: [("self",)]}, {1: mine}, P)
     assert ok and adopted is mine
     ok, _ = vote_for(1, None, cross, {1: [("self",)]},
                      {1: ((mine[0] + 1) % P, mine[1])}, P)
     assert not ok
-
-
-def test_vote_reads_none_as_a_malformed_reveal():
-    deal = evss_deal(FMatrix(np.array([[9]]), P), ShareLabel(1, 1, 0),
-                     np.random.default_rng(3))
-    polys = _pair_for(deal, 1)
-    cross = {j: (grid_value(deal, 1, j), grid_value(deal, j, 1)) for j in (2, 3, 4)}
-    # answers the self-complaint, yet everyone withholds
-    assert vote_for(1, polys, cross, {3: [("self",)]}, {3: None}, P) == \
-        (False, polys)
-    # a malformed own reveal is not adopted
-    assert vote_for(1, None, cross, {1: [("self",)]}, {1: None}, P) == \
-        (False, None)
-    ok, adopted = vote_for(1, polys, cross, {1: [("self",)]}, {1: None}, P)
-    assert not ok and adopted is polys
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +418,9 @@ def test_batch_drops_a_malformed_deal_stack_whole():
                  for iid in ("a", "b")]
     run_evss_batch(net, scenario=s, prefix="x", instances=instances)
     # party 3 holds neither instance, so it complains about both itself
-    said = [item for e in net.transcript.envelopes
-            if e.phase == "x:complain" and e.sender == 3
-            for item in e.payload[1]]
-    assert [item for item in said if item[1] == "self"] == \
-        [("a", "self"), ("b", "self")]
+    said = [e.payload[1] for e in net.transcript.envelopes
+            if e.phase == "x:complain" and e.sender == 3]
+    assert said == [("a", "b")]
 
 
 class DropDealSpoilReveal:
@@ -467,12 +450,12 @@ class DropDealSpoilReveal:
 @pytest.mark.parametrize("spoil", [False, True])
 def test_batch_validates_each_reveal_once(spoil, monkeypatch):
     s = batch_scenario()
-    pair_form = _pair_form(2, (2, 2), s.p)
+    evr_form = ("evr", [(str, int) + _pair_form(2, (2, 2), s.p)])
     checked = []
-    real = compc.evss._fits
+    real = compc.net._fits
     monkeypatch.setattr(
-        compc.evss, "_fits",
-        lambda obj, form: (form != pair_form or checked.append(obj)
+        compc.net, "_fits",
+        lambda obj, form: (form != evr_form or checked.append(obj)
                            or real(obj, form)))
     net = fresh_net(s)
     net.adversary = DropDealSpoilReveal(s.p, spoil)
@@ -482,10 +465,11 @@ def test_batch_validates_each_reveal_once(spoil, monkeypatch):
                                evss_deal(rand_matrix(rng, 2, 2), lab, rng))
                  for iid in ("a", "b")]
     out = run_evss_batch(net, scenario=s, prefix="x", instances=instances)
-    # one revealed pair per instance, each validated once for all voters
+    # one reveal payload per instance, each checked once for all voters
     assert len(checked) == 2
-    # a malformed reveal answers the self-complaint but makes every
-    # party withhold, so only its instance is rejected
+    # a malformed reveal payload is dropped whole: the self-complaint
+    # stays unanswered and every party withholds, so only its instance
+    # is rejected
     assert out["a"].accepted is not spoil
     assert out["b"].accepted and out["b"].shares[3] is not None
     votes = {e.sender: e.payload[1] for e in net.transcript.envelopes
@@ -494,39 +478,75 @@ def test_batch_validates_each_reveal_once(spoil, monkeypatch):
                for bits in votes.values())
 
 
-class ClaimAs3:
-    """Replaces party 3's complaint broadcast with the given items."""
+def spoil_first_array(payload, spoil):
+    """payload with its first array, in payload order, passed through
+    spoil; whatever the layout, that is the first claimed value of a
+    complaint broadcast."""
+    done = []
 
-    def __init__(self, items):
-        self.items = items
+    def walk(x):
+        if isinstance(x, np.ndarray) and not done:
+            done.append(x)
+            return spoil(x)
+        return tuple(map(walk, x)) if isinstance(x, tuple) else x
+    return walk(payload)
+
+
+class CrossCutClaim:
+    """Drops the cross points between parties 2 and 3 both ways, so each
+    complains about the other, and dealer 1's answers. Party 3's
+    complaint broadcast goes out with its first claimed value passed
+    through `spoil`, or not at all when spoil is None."""
+
+    def __init__(self, spoil):
+        self.spoil = spoil
 
     def filter(self, ctx, outboxes):
-        if ctx["phase"].endswith(":complain"):
-            outboxes[3] = [(BCAST, -1, ("evc", self.items))]
+        phase = ctx["phase"]
+        if phase.endswith(":cross"):
+            for a, b in ((2, 3), (3, 2)):
+                outboxes[a] = [x for x in outboxes[a] if x[1] != b]
+        if phase.endswith(":complain"):
+            outboxes[3] = [] if self.spoil is None else [
+                (ch, to, spoil_first_array(pl, self.spoil))
+                for ch, to, pl in outboxes[3]]
+        if phase.endswith(":resolve"):
+            outboxes[1] = []
         return outboxes
 
 
 def test_complaint_claims_must_be_field_arrays(monkeypatch):
-    # complaints as the batch ingests them, read where dealer 1 answers
+    """A complaint whose claim is not a field array (float64, or out of
+    range) is dropped whole: the batch ends as if its sender had sent
+    no complaint. (Read leniently, the claim would clash with party
+    2's complaint about party 3, which the silent dealer never settles,
+    and everyone would withhold.)"""
     seen = []
     real = compc.evss.reveals_for
     monkeypatch.setattr(compc.evss, "reveals_for",
                         lambda deal, complaints:
                         seen.append(complaints) or real(deal, complaints))
-    good = np.ones((2, 2), dtype=np.int64)
-    item = ("pair", 2, good.astype(np.float64), good)
-    out_of_range = ("pair", 2, good, good * P)
-    s = batch_scenario()
-    net = fresh_net(s)
-    net.adversary = ClaimAs3((("a",) + item, ("a",) + out_of_range))
-    lab = ShareLabel(1, 1, 0)
-    rng = np.random.default_rng(15)
-    run_evss_batch(net, scenario=s, prefix="x", instances=[
-        BatchInstance("a", 1, lab, evss_deal(rand_matrix(rng, 2, 2), lab,
-                                             rng))])
-    parsed, parsed_out_of_range = seen[0][3]
-    assert parsed[:3] == ("pair", 2, None) and parsed[3] is good
-    assert parsed_out_of_range[3] is None
+
+    def run(spoil):
+        s = batch_scenario()
+        net = fresh_net(s)
+        net.adversary = CrossCutClaim(spoil)
+        lab = ShareLabel(1, 1, 0)
+        rng = np.random.default_rng(15)
+        return run_evss_batch(net, scenario=s, prefix="x", instances=[
+            BatchInstance("a", 1, lab, evss_deal(rand_matrix(rng, 2, 2), lab,
+                                                 rng))])["a"]
+
+    silent = run(None)
+    assert silent.accepted
+    for spoil in (lambda a: a.astype(np.float64),
+                  lambda a: np.full_like(a, P)):
+        spoiled = run(spoil)
+        assert spoiled.accepted
+        for i in (1, 2, 4, 5):
+            assert np.array_equal(spoiled.shares[i], silent.shares[i])
+    # party 3's complaint reached nobody; party 2's did
+    assert [sorted(c) for c in seen] == [[2], [2], [2]]
 
 
 def test_batch_deterministic_transcript():
@@ -572,11 +592,12 @@ def replay_single_instance(envelopes, iid, n, t, label, shape, p,
                     k = iids.index(iid)
                     body = (e.recipient, us[k], vs[k])
             elif kind == "complain":
-                items = tuple(it[1:] for it in e.payload[1] if it[0] == iid)
+                _, selfs, pairs = e.payload
+                items = tuple(("self",) for x in selfs if x == iid) + tuple(
+                    ("pair",) + it[1:] for it in pairs if it[0] == iid)
                 body = items or None
             elif kind == "reveal":
-                items = tuple(it[1:] for it in e.payload[1]
-                              if len(it) == 4 and it[0] == iid)
+                items = tuple(it[1:] for it in e.payload[1] if it[0] == iid)
                 body = items or None
             elif kind == "vote":
                 bits = [it[1] for it in e.payload[1] if it[0] == iid]

@@ -16,13 +16,13 @@ from compc.errors import (CompcError, DegreeMismatch, ParameterViolation,
                           TooFewSurvivors)
 import compc.net
 from compc.gf import FMatrix, mat_mul
-from compc.mpc import (MaskSet, ProgramOp, SharedMatrix, add_shares,
+from compc.mpc import (ProgramOp, SharedMatrix, add_shares,
                        build_masks, direct_to_reverse, execute,
-                       mask_groups, mask_layout, masked_product,
+                       mask_layout, masked_product,
                        multiply_malicious, multiply_semi_honest,
                        recovery_threshold,
                        reverse_to_direct, transpose_shares)
-from compc.net import (BCAST, STRATEGY_NAMES, AdversaryController,
+from compc.net import (BCAST, PRIV, STRATEGY_NAMES, AdversaryController,
                        Network, Scenario, Strategy, Transcript, run_scenario)
 from compc.poly import MatPoly, coeff_extraction_combo, interpolate
 from compc.sharing import (DIRECT, REVERSE, Share, ShareLabel,
@@ -100,9 +100,9 @@ def test_build_masks_empty_at_unit_params():
     b = rand_fm(rng, 2, 2, p)
     qa = MatPoly(a.a[None], p)
     qb = MatPoly(b.a[None], p)
-    masks = build_masks(qa, qb, 1, 0, rng)
-    assert masks == MaskSet(())
-    c = masked_product(qa, qb, masks, 1)
+    groups = build_masks(qa, qb, 1, 0, rng)
+    assert groups == []
+    c = masked_product(qa, qb, groups, 1)
     assert c.degree == 0
     assert np.array_equal(c.coeff(0).a, mat_mul(a.a, b.a.T, p))
 
@@ -129,8 +129,9 @@ def test_mask_top_coefficient_equals_product_top():
     rng = np.random.default_rng(7)
     _, _, qa, qb = local_product_polys(rng, m, t, 4, p)
     prod = qa.mul(qb.transpose_coeffs())
-    masks = build_masks(qa, qb, m, t, rng)
-    top = masks.o_polys[m + t - 2].coeff(t).a
+    # the top mask O_{m+t-2} is the last of the last group, starting at a
+    a, mk = build_masks(qa, qb, m, t, rng)[-1]
+    top = mk.coeff(m + t - 2 - a + t).a
     assert np.array_equal(top, prod.coeff(2 * m + 2 * t - 2).a)
 
 
@@ -144,6 +145,10 @@ def test_build_masks_rejects_oversized_degrees():
         build_masks(big, ok, m, t, rng)
     with pytest.raises(DegreeMismatch):
         build_masks(ok, big, m, t, rng)
+    # at t = 0 no mask is returned, so the product must fit degree m-1
+    lin = MatPoly(rng.integers(1, p, size=(2, 1, 1)), p)
+    with pytest.raises(DegreeMismatch):
+        build_masks(lin, lin, 2, 0, rng)
 
 
 # ---------------------------------------------------------------- extraction
@@ -431,32 +436,30 @@ def test_reveal_names_corrected_senders():
 @pytest.mark.parametrize("m,t", [(1, 1), (1, 3), (2, 1), (2, 3), (2, 4),
                                  (3, 4), (2, 8)])
 def test_mask_groups_keep_the_masked_sum(m, t):
-    # groups of at most 2m-1 masks, one polynomial of degree at most
-    # D = min(2m-1, m+t-1) + t - 1 each, with the same sum_l x^(m+l) O_l;
+    # build_masks returns groups of at most 2m-1 masks, one polynomial
+    # M_k of degree at most D = min(2m-1, m+t-1) + t - 1 each, and
+    # sum_k x^(m+a_k) M_k is what masked_product takes off the product;
     # every x^(m+a_k) M_k of degree D stays within degree 2m+2t-2
     p = 97
     rng = np.random.default_rng(10 * m + t)
     count = m + t - 1
-    masks = MaskSet(tuple(MatPoly(rng.integers(0, p, size=(t + 1, 2, 3)), p)
-                          for _ in range(count)))
+    a_n = MatPoly(rng.integers(0, p, size=(m + t, 2, 2)), p)
+    b_n = MatPoly(rng.integers(0, p, size=(m + t, 3, 2)), p)
     starts, size = mask_layout(m, t)
     d = size + t - 1
-    groups = mask_groups(masks, m)
+    groups = build_masks(a_n, b_n, m, t, rng)
     assert [a for a, _ in groups] == starts
     assert len(starts) == -(-count // (2 * m - 1)) and size <= 2 * m - 1
     assert starts[0] == 0 and all(
         b - a == size for a, b in zip(starts[1:], starts[2:] + [count]))
     assert all(m + a + d <= 2 * m + 2 * t - 2 for a in starts)
     assert all(poly.degree <= d for _, poly in groups)
-    want = MatPoly.zero(2, 3, p)
-    for l, o in enumerate(masks.o_polys):
-        want = want + o.shift(m + l)
+    masked = masked_product(a_n, b_n, groups, m)
     got = MatPoly.zero(2, 3, p)
     for a, poly in groups:
         got = got + poly.shift(m + a)
-    assert got == want
-    if m == 1:
-        assert [poly for _, poly in groups] == list(masks.o_polys)
+    assert got == a_n.mul(b_n.transpose_coeffs()) - masked
+    assert masked.degree <= m + t - 1
 
 
 def test_mask_layout_deals_nothing_without_masks():
@@ -668,7 +671,17 @@ def _self_complaint(ctx):
     one: the batch resolves and votes, and party 2 answers it."""
     own = [iid for iid, meta in ctx["instances"].items()
            if meta["dealer"] == 2]
-    return ("evc", ((min(own or ctx["instances"]), "self"),))
+    return ("evc", (min(own or ctx["instances"]),), ())
+
+
+def _send(suffix, channel, recipient):
+    """An outbox edit that adds one send with the given header in every
+    round whose phase ends in `suffix`."""
+    def edit(ctx, outbox):
+        if ctx["phase"].endswith(suffix):
+            outbox = outbox + [(channel, recipient, ("evx",))]
+        return outbox
+    return edit
 
 
 def _both(first, second):
@@ -682,15 +695,15 @@ FORGED = {
         "evd", lambda ctx, pl: (pl[0], (ARR,) + pl[1][1:]) + pl[2:]),
     "evx-array-id": _rewrite(
         "evx", lambda ctx, pl: (pl[0], (ARR,) + pl[1][1:]) + pl[2:]),
-    "evc-array-self": _add(":complain", lambda ctx: ("evc", ((ARR, "self"),))),
+    "evc-array-self": _add(":complain", lambda ctx: ("evc", (ARR,), ())),
     "evc-pair-of-arrays": _add(":complain", lambda ctx: (
-        "evc", ((min(ctx["instances"]), "pair", ARR, ARR, ARR),))),
+        "evc", (), ((min(ctx["instances"]), ARR, ARR, ARR),))),
     "evv-array-id": _both(_add(":complain", _self_complaint),
                           _add(":vote", lambda ctx: ("evv", ((ARR, 1),)))),
     "evr-array-id": _both(_add(":complain", _self_complaint), _add(
         ":resolve", lambda ctx: ("evr", ((ARR, 1, ARR, ARR),)))),
     # these did not crash before either
-    "stm-list": _rewrite("stm", lambda ctx, pl: (pl[0], [pl[1]])),
+    "stm-list": _rewrite("stm", lambda ctx, pl: (pl[0], list(pl[1]))),
     "stm-short": _rewrite("stm", lambda ctx, pl: (pl[0], ())),
     "mulcomplaint-bool": _add("mul:check", lambda ctx: ("mulcomplaint", True)),
     "mulcomplaint-array": _add("mul:check",
@@ -698,14 +711,21 @@ FORGED = {
     "out-0d": _rewrite("out", lambda ctx, pl: (pl[0], np.array(5))),
     "out-float": _rewrite("out", lambda ctx, pl: (pl[0],
                                                   pl[1].astype(float))),
+    # envelope headers: the first two raised ParameterViolation, the
+    # array recipient TypeError, and "xyz" was delivered as private
+    "header-recipient-999": _send(":cross", PRIV, 999),
+    "header-recipient-str": _send(":cross", PRIV, "3"),
+    "header-recipient-array": _send(":cross", PRIV, np.array([3])),
+    "header-channel-xyz": _send(":cross", "xyz", 3),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FORGED))
 def test_malformed_payloads_are_dropped_whole(case, monkeypatch):
-    """One in-budget party adds or rewrites one well-tagged payload per
-    round of one kind. The run returns exactly A.B^T or raises a typed
-    error, and no honest party is eliminated."""
+    """One in-budget party adds or rewrites one well-tagged payload, or
+    adds one send with a malformed header, per round of one kind. The
+    run returns exactly A.B^T, no honest party is eliminated and every
+    envelope went out on BCAST or PRIV."""
     edit = FORGED[case]
 
     class Forger(Strategy):
@@ -722,12 +742,10 @@ def test_malformed_payloads_are_dropped_whole(case, monkeypatch):
                ProgramOp("reveal", ("c",))]
     s = program_scenario(n, t, m, z, p, 22, xs, program,
                          adversaries=((2, "SemiHonest"),))
-    try:
-        tr = execute(s)
-    except CompcError:
-        return
+    tr = execute(s)
     assert np.array_equal(tr.master_output.a, xs[0] @ xs[1].T % p)
     assert [e for e in tr.events if e[0] == "eliminate" and e[2] != 2] == []
+    assert {e.channel for e in tr.envelopes} == {BCAST, PRIV}
 
 
 @pytest.mark.parametrize("m, t", [(1, 1), (1, 2), (2, 1), (2, 2)])

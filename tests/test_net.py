@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from compc.net import (BCAST, PRIV, Field, Network, OneOf, Scenario,
-                       Transcript, tagged)
+from compc.net import (BCAST, PRIV, Field, Network, Scenario, Transcript,
+                       tagged)
 
 
 def scen(adversaries=()):
@@ -69,10 +69,12 @@ def test_the_adversary_sees_phase_scenario_and_the_given_ctx():
 P = 13
 NAME = re.compile(r"[A-Za-z][A-Za-z0-9_:.\-]*")
 STACK = Field((None, 2, 2), P)
+CLAIM = Field((2, 2), P)
+COEFFS = Field((2, 2, 2), P)
 FORMS = [
     ("evd", [str], STACK, STACK),
-    ("evc", [OneOf(((str, "self"), (str, "pair", int, object, object)))]),
-    ("evr", [(str, int, object, object)]),
+    ("evc", [str], [(str, int, CLAIM, CLAIM)]),
+    ("evr", [(str, int, COEFFS, COEFFS)]),
     ("evv", [(str, int)]),
     ("stm", (Field((2, 2), P), Field((1, 2), P))),
     ("mulcomplaint", int),
@@ -95,8 +97,6 @@ def ref_fits(obj, form):
                 and bool(((obj >= 0) & (obj < form.p)).all()))
     if isinstance(form, list):
         return type(obj) is tuple and all(ref_fits(x, form[0]) for x in obj)
-    if isinstance(form, OneOf):
-        return any(ref_fits(obj, f) for f in form)
     if isinstance(form, tuple):
         return (type(obj) is tuple and len(obj) == len(form)
                 and all(ref_fits(x, f) for x, f in zip(obj, form)))
@@ -106,7 +106,7 @@ def ref_fits(obj, form):
         return isinstance(obj, str) and NAME.fullmatch(obj) is not None
     if form is int:
         return type(obj) is int
-    return form is object
+    raise ValueError(f"not a form: {form!r}")
 
 
 ARRAYS = arrays(st.sampled_from([np.int64, np.int32, np.float64]),
@@ -134,8 +134,6 @@ def from_form(form):
             np.int64, (n,) + form.shape[1:], elements=st.integers(0, P - 1)))
     if isinstance(form, list):
         return st.lists(from_form(form[0]), max_size=3).map(tuple)
-    if isinstance(form, OneOf):
-        return st.one_of([from_form(f) for f in form])
     if isinstance(form, tuple):
         return st.tuples(*(from_form(f) for f in form))
     if isinstance(form, str):
@@ -144,7 +142,7 @@ def from_form(form):
         return st.from_regex(NAME, fullmatch=True).filter(lambda s: len(s) < 6)
     if form is int:
         return st.integers(-3, 8)
-    return TREES
+    raise ValueError(f"not a form: {form!r}")
 
 
 def _with_first(a, value):
@@ -154,7 +152,7 @@ def _with_first(a, value):
 
 
 def near_miss(form):
-    """Payloads that break `form` in one place, or nothing for `object`."""
+    """Payloads that break `form` in one place."""
     if isinstance(form, Field):
         good = from_form(form)
         some = good.filter(lambda a: a.size > 0)
@@ -172,11 +170,8 @@ def near_miss(form):
         return st.one_of(from_form(form).map(list), st.builds(
             lambda good, bad: good + (bad,), from_form(form),
             near_miss(form[0])))
-    if isinstance(form, OneOf):
-        return st.one_of([near_miss(f) for f in form])
     if isinstance(form, tuple):
-        spots = [k for k, f in enumerate(form) if f is not object]
-        spot = st.sampled_from(spots).flatmap(lambda k: st.tuples(*(
+        spot = st.integers(0, len(form) - 1).flatmap(lambda k: st.tuples(*(
             near_miss(f) if i == k else from_form(f)
             for i, f in enumerate(form))))
         return st.one_of(
@@ -192,7 +187,7 @@ def near_miss(form):
     if form is int:
         return st.sampled_from([True, False, np.int64(3), 3.0, "3", None,
                                 np.array([1, 2])])
-    return st.nothing()
+    raise ValueError(f"not a form: {form!r}")
 
 
 @pytest.mark.parametrize("form", FORMS, ids=FORM_IDS)

@@ -72,7 +72,8 @@ def evaluate(net, s, active, f_vals, p_deg, target):
 
 
 def parity_rows(transcript):
-    return {e.sender: e.payload[1] for e in transcript.envelopes
+    """Each sender's rows of the one gapped family checked."""
+    return {e.sender: e.payload[1][0] for e in transcript.envelopes
             if e.phase.endswith(":par")}
 
 
@@ -157,7 +158,7 @@ def test_stm_row_liars_not_eliminated():
             adversaries=((3, "RandomByzantine"),), seed=seed)
         hpub = np.ones((4, 1), dtype=np.int64)
         assert stm(net, s, active, holdings, hpub)[0, 0, 0] == 3
-        sent = {e.sender: e.payload[1] for e in net.transcript.envelopes}
+        sent = {e.sender: e.payload[1][0] for e in net.transcript.envelopes}
         lied = 3 not in sent or sent[3][0, 0, 0] != 3
         assert net.transcript.events == ([("correct", "p", 3)] if lied
                                          else [])
