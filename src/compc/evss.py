@@ -97,46 +97,49 @@ def _pair_form(d1, shape, p):
     return (Field((d1,) + tuple(shape), p),) * 2
 
 
-def complaints_for(party, polys, cross_in, others, p):
-    """Complaints a party must broadcast given its pair and received
-    cross points. Returns [("self",)] or [("pair", j, u, v), ...]."""
-    if polys is None:
-        return [("self",)]
+def complaints_for(polys, cross_in, others, p):
+    """Pair claims a party holding `polys` must broadcast given the
+    cross points it received: {j: (f_i(a_j), g_i(a_j))} for every j in
+    `others` whose points are missing or differ. A party with no pair
+    self-complains instead."""
     js = sorted(others)
-    out = []
+    out = {}
     for j, (own_u, own_v) in zip(js, horner(np.stack(polys, axis=1), js, p)):
         got = cross_in.get(j)
         ok = (got is not None
               and np.array_equal(got[0], own_v)    # f_j(a_i) = g_i(a_j)
               and np.array_equal(got[1], own_u))   # g_j(a_i) = f_i(a_j)
         if not ok:
-            out.append(("pair", j, own_u, own_v))
+            out[j] = (own_u, own_v)
     return out
 
 
-def reveals_for(deal, complaints):
-    """Dealer's answers: {party: (fc, gc)} for every self-complainer
-    and every complainer whose claimed values are wrong. Complainers
-    are workers: ingest drops complaints from anyone else."""
+def reveals_for(deal, selfs, claims):
+    """Dealer's answers: {party: (fc, gc)} for every self-complainer in
+    `selfs` and every complainer whose claim in `claims`, keyed by
+    (complainer, j), is wrong. Complainers are workers: ingest drops
+    complaints from anyone else."""
     if deal is None:
         return {}
     out = {}
-    for i in sorted(complaints):
+    for i in sorted(selfs | {c for c, _ in claims}):
         pair = deal.polys_for(i)
-        claims = [item for item in complaints[i] if item[0] == "pair"]
+        js = [j for c, j in claims if c == i]
         # own[x] = (f_i(a_j), g_i(a_j)) = (S(a_j, a_i), S(a_i, a_j))
-        own = horner(np.stack(pair, axis=1), [c[1] for c in claims], deal.p)
-        if any(item[0] == "self" for item in complaints[i]) or not all(
-                np.array_equal(u, f) and np.array_equal(v, g)
-                for (_, _, u, v), (f, g) in zip(claims, own)):
+        own = horner(np.stack(pair, axis=1), js, deal.p)
+        if i in selfs or not all(
+                np.array_equal(claims[i, j][0], f)
+                and np.array_equal(claims[i, j][1], g)
+                for j, (f, g) in zip(js, own)):
             out[i] = pair
     return out
 
 
-def vote_for(party, polys, cross_in, complaints, reveals, p):
-    """(vote, adopted polys) under the module's vote rules. reveals
-    maps each revealed party to its pair; the caller validates each
-    pair once, at ingest."""
+def vote_for(party, polys, cross_in, selfs, claims, reveals, p):
+    """(vote, adopted polys) under the module's vote rules, given the
+    self-complainers, the pair claims keyed by (complainer, j) and
+    the revealed pairs keyed by owner; the caller validates each
+    payload once, at ingest."""
     polys = reveals.get(party, polys)
     if polys is None:
         return False, None
@@ -149,16 +152,10 @@ def vote_for(party, polys, cross_in, complaints, reveals, p):
         checks += cross_in.items()
 
     # unanswered self-complaints block everyone
-    for i, items in complaints.items():
-        if any(item[0] == "self" for item in items) and i not in reveals:
-            vote = False
+    if selfs - reveals.keys():
+        vote = False
 
     # bidirectional complaint pairs with no reveal and clashing claims
-    claims = {}
-    for i, items in complaints.items():
-        for item in items:
-            if item[0] == "pair":
-                claims[(i, item[1])] = (item[2], item[3])
     for (i, j), (u_ij, v_ij) in claims.items():
         if i >= j or i in reveals or j in reveals:
             continue
@@ -332,32 +329,35 @@ def run_evss_batch(network,
     # ("evc", self-complained ids, ((iid, j, u, v), ...) pair claims)
     outboxes = {}
     for i in workers:
-        selfs, pairs = [], []
+        missing, pairs = [], []
         for iid, senders in sorted(suspect[i].items()):
-            for item in complaints_for(i, states[i].get(iid),
-                                       cross_views(i, iid), senders, p):
-                if item[0] == "self":
-                    selfs.append(iid)
-                else:
-                    pairs.append((iid,) + item[1:])
-        outboxes[i] = [(BCAST, -1, ("evc", tuple(selfs), tuple(pairs)))] \
-            if selfs or pairs else []
+            polys = states[i].get(iid)
+            if polys is None:
+                missing.append(iid)
+            else:
+                pairs += [(iid, j) + uv for j, uv in complaints_for(
+                    polys, cross_views(i, iid), senders, p).items()]
+        outboxes[i] = [(BCAST, -1, ("evc", tuple(missing), tuple(pairs)))] \
+            if missing or pairs else []
     inboxes = network.exchange(f"{prefix}:complain", outboxes, **ctx)
 
-    complaints = {iid: {} for iid in all_iids}
+    # per instance: the self-complainers, and claims keyed by
+    # (complainer, j); a repeated claim keeps its first value
+    selfs = {iid: set() for iid in all_iids}
+    claims = {iid: {} for iid in all_iids}
     claim = Field(tuple(shape), p)
-    for sender, (_, selfs, pairs) in tagged(
+    for sender, (_, self_iids, pairs) in tagged(
             inboxes[workers[0]], BCAST,
             ("evc", [str], [(str, int, claim, claim)])):
         if sender not in workers:
             continue
-        items = [(iid, ("self",)) for iid in selfs] + [
-            (iid, ("pair", j, u, v)) for iid, j, u, v in pairs
-            if j in workers]
-        for iid, item in items:
-            if iid in complaints:
-                complaints[iid].setdefault(sender, []).append(item)
-    flagged = [b for b in instances if complaints[b.iid]]
+        for iid in self_iids:
+            if iid in selfs:
+                selfs[iid].add(sender)
+        for iid, j, u, v in pairs:
+            if iid in claims and j in workers:
+                claims[iid].setdefault((sender, j), (u, v))
+    flagged = [b for b in instances if selfs[b.iid] or claims[b.iid]]
 
     reveals = {iid: {} for iid in all_iids}
     votes = {iid: {} for iid in all_iids}
@@ -365,7 +365,7 @@ def run_evss_batch(network,
         # round 4: dealers answer contested instances
         outboxes = {d: [] for d in sorted({b.dealer for b in flagged})}
         for b in flagged:
-            ans = reveals_for(b.deal, complaints[b.iid])
+            ans = reveals_for(b.deal, selfs[b.iid], claims[b.iid])
             if ans:
                 items = tuple((b.iid, i, pair[0], pair[1])
                               for i, pair in sorted(ans.items()))
@@ -385,7 +385,7 @@ def run_evss_batch(network,
             for b in flagged:
                 vote, adopted = vote_for(
                     i, states[i].get(b.iid), cross_views(i, b.iid),
-                    complaints[b.iid], reveals[b.iid], p)
+                    selfs[b.iid], claims[b.iid], reveals[b.iid], p)
                 if adopted is not None:
                     states[i][b.iid] = adopted
                 else:
@@ -404,7 +404,7 @@ def run_evss_batch(network,
 
     out = {}
     for b in instances:
-        if complaints[b.iid]:
+        if selfs[b.iid] or claims[b.iid]:
             accepted = sum(votes[b.iid].values()) >= s.n - s.t
         else:
             accepted = True

@@ -278,16 +278,17 @@ class Network:
         sends = []
         for sender in sorted(outboxes):
             for channel, recipient, payload in outboxes[sender]:
-                if channel == BCAST:
-                    recipient = -1
-                elif channel != PRIV or type(recipient) is not int \
-                        or recipient not in self.parties:
+                # a str channel first: an array would compare elementwise
+                if not (type(channel) is str and (channel == BCAST or (
+                        channel == PRIV and type(recipient) is int
+                        and recipient in self.parties))):
                     if sender in self.s.adversary_ids:
                         continue
                     raise ParameterViolation(
                         f"bad header {channel!r} to {recipient!r}")
-                sends.append(Envelope(self.round, sender, channel,
-                                      recipient, phase, payload))
+                sends.append(Envelope(
+                    self.round, sender, channel,
+                    -1 if channel == BCAST else recipient, phase, payload))
         sends.sort(key=lambda e: (e.sender, e.channel, e.recipient))
         inboxes = {party: [] for party in self.parties}
         for e in sends:

@@ -39,8 +39,8 @@ class EvssParty:
     holds no share and casts no vote.
 
     Message bodies: deal (recipient, fc, gc); cross (recipient, u, v);
-    complain (complaint items); reveal ((who, fc, gc), ...);
-    vote (bit,).
+    complain (self-complaint bit, {j: (u, v)} pair claims);
+    reveal ((who, fc, gc), ...); vote (bit,).
     """
     party: int
     dealer: int
@@ -53,7 +53,8 @@ class EvssParty:
     phase: str = "deal"
     polys: tuple = None
     cross_in: dict = field(default_factory=dict)
-    complaints: dict = field(default_factory=dict)
+    selfs: set = field(default_factory=set)
+    claims: dict = field(default_factory=dict)     # (complainer, j) -> (u, v)
     reveals: dict = field(default_factory=dict)
     votes: dict = field(default_factory=dict)
 
@@ -64,6 +65,10 @@ class EvssParty:
     @property
     def others(self):
         return tuple(j for j in self.workers if j != self.party)
+
+    @property
+    def contested(self):
+        return bool(self.selfs or self.claims)
 
     @property
     def pair_form(self):
@@ -107,21 +112,24 @@ def evss_round(state, inbox):
                     and msg.sender not in state.cross_in:
                 state.cross_in[msg.sender] = (msg.body[1], msg.body[2])
         if state.party in state.workers:
-            items = complaints_for(state.party, state.polys, state.cross_in,
-                                   state.others, p)
-            if items:
+            claims = {} if state.polys is None else complaints_for(
+                state.polys, state.cross_in, state.others, p)
+            if state.polys is None or claims:
                 out.append(EvssMsg("complain", state.party, BCAST,
-                                   tuple(items)))
+                                   (state.polys is None, claims)))
         state.phase = "resolve"
         return state, out
 
     if state.phase == "resolve":
         for msg in inbox:
-            if msg.kind == "complain" and msg.sender in state.workers \
-                    and msg.sender not in state.complaints:
-                state.complaints[msg.sender] = list(msg.body)
-        if state.party == state.dealer and state.complaints:
-            ans = reveals_for(state.deal, state.complaints)
+            if msg.kind == "complain" and msg.sender in state.workers:
+                is_self, claims = msg.body
+                if is_self:
+                    state.selfs.add(msg.sender)
+                for j, uv in claims.items():
+                    state.claims.setdefault((msg.sender, j), uv)
+        if state.party == state.dealer and state.contested:
+            ans = reveals_for(state.deal, state.selfs, state.claims)
             if ans:
                 out.append(EvssMsg("reveal", state.party, BCAST,
                                    tuple((i,) + pair
@@ -136,10 +144,10 @@ def evss_round(state, inbox):
                     and _fits(msg.body, [(int,) + state.pair_form]):
                 for who, fc, gc in msg.body:
                     state.reveals.setdefault(who, (fc, gc))
-        if state.complaints:
+        if state.contested:
             vote, adopted = vote_for(
-                state.party, state.polys, state.cross_in, state.complaints,
-                state.reveals, p)
+                state.party, state.polys, state.cross_in, state.selfs,
+                state.claims, state.reveals, p)
             state.polys = adopted
             if state.party in state.workers:
                 out.append(EvssMsg("vote", state.party, BCAST, (int(vote),)))
@@ -159,7 +167,7 @@ def evss_round(state, inbox):
 
 def evss_finalize(state):
     """Verdict after all rounds; accepted on silence or N-t votes."""
-    if not state.complaints:
+    if not state.contested:
         accepted = True
     else:
         accepted = sum(state.votes.values()) >= state.n - state.t

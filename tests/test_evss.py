@@ -116,14 +116,13 @@ def test_complaints_missing_and_mismatched_senders():
                      np.random.default_rng(1))
     polys = _pair_for(deal, 2)
     good = {j: (grid_value(deal, 2, j), grid_value(deal, j, 2)) for j in (1, 3, 4)}
-    assert complaints_for(2, polys, good, (1, 3, 4), P) == []
-    assert complaints_for(2, None, good, (1, 3, 4), P) == [("self",)]
+    assert complaints_for(polys, good, (1, 3, 4), P) == {}
     bad = dict(good)
     bad[3] = ((bad[3][0] + 1) % P, bad[3][1])
     del bad[4]
-    got = complaints_for(2, polys, bad, (1, 3, 4), P)
-    assert [c[1] for c in got] == [3, 4]
-    u, v = got[0][2], got[0][3]
+    got = complaints_for(polys, bad, (1, 3, 4), P)
+    assert sorted(got) == [3, 4]
+    u, v = got[3]
     assert np.array_equal(u, horner(polys[0], [3], P)[0])
     assert np.array_equal(v, horner(polys[1], [3], P)[0])
 
@@ -131,9 +130,9 @@ def test_complaints_missing_and_mismatched_senders():
 def test_reveals_only_for_wrong_claims_and_self():
     deal = evss_deal(FMatrix(np.array([[5]]), P), ShareLabel(1, 1, 0),
                      np.random.default_rng(2))
-    right = ("pair", 3, grid_value(deal, 3, 2), grid_value(deal, 2, 3))
-    wrong = ("pair", 3, (grid_value(deal, 3, 4) + 1) % P, grid_value(deal, 4, 3))
-    ans = reveals_for(deal, {2: [right], 4: [wrong], 1: [("self",)]})
+    right = (grid_value(deal, 3, 2), grid_value(deal, 2, 3))
+    wrong = ((grid_value(deal, 3, 4) + 1) % P, grid_value(deal, 4, 3))
+    ans = reveals_for(deal, {1}, {(2, 3): right, (4, 3): wrong})
     assert sorted(ans) == [1, 4]
     assert np.array_equal(ans[4][0], deal.polys_for(4)[0])
 
@@ -145,42 +144,42 @@ def test_vote_rules():
     cross = {j: (grid_value(deal, 1, j), grid_value(deal, j, 1)) for j in (2, 3, 4)}
 
     # no complaints that matter, everything consistent
-    ok, _ = vote_for(1, polys, cross, {}, {}, P)
+    ok, _ = vote_for(1, polys, cross, set(), {}, {}, P)
     assert ok
 
     # unanswered self-complaint blocks
-    ok, _ = vote_for(1, polys, cross, {3: [("self",)]}, {}, P)
+    ok, _ = vote_for(1, polys, cross, {3}, {}, {}, P)
     assert not ok
     # answered self-complaint with a consistent reveal passes
-    ok, _ = vote_for(1, polys, cross, {3: [("self",)]},
-                     {3: deal.polys_for(3)}, P)
+    ok, _ = vote_for(1, polys, cross, {3}, {}, {3: deal.polys_for(3)}, P)
     assert ok
 
     # bidirectional pair, mutually consistent claims: false accusation
-    c23 = ("pair", 3, grid_value(deal, 3, 2), grid_value(deal, 2, 3))
-    c32 = ("pair", 2, grid_value(deal, 2, 3), grid_value(deal, 3, 2))
-    ok, _ = vote_for(1, polys, cross, {2: [c23], 3: [c32]}, {}, P)
+    c23 = (grid_value(deal, 3, 2), grid_value(deal, 2, 3))
+    c32 = (grid_value(deal, 2, 3), grid_value(deal, 3, 2))
+    ok, _ = vote_for(1, polys, cross, set(), {(2, 3): c23, (3, 2): c32},
+                     {}, P)
     assert ok
     # mutually inconsistent claims, nothing revealed: withhold
-    c32_bad = ("pair", 2, (grid_value(deal, 2, 3) + 1) % P, grid_value(deal, 3, 2))
-    ok, _ = vote_for(1, polys, cross, {2: [c23], 3: [c32_bad]}, {}, P)
+    c32_bad = ((grid_value(deal, 2, 3) + 1) % P, grid_value(deal, 3, 2))
+    clash = {(2, 3): c23, (3, 2): c32_bad}
+    ok, _ = vote_for(1, polys, cross, set(), clash, {}, P)
     assert not ok
     # same clash but one side revealed consistently: pair rule is off
-    ok, _ = vote_for(1, polys, cross, {2: [c23], 3: [c32_bad]},
-                     {3: deal.polys_for(3)}, P)
+    ok, _ = vote_for(1, polys, cross, set(), clash, {3: deal.polys_for(3)},
+                     P)
     assert ok
 
     # reveal conflicting with own pair
     rf, rg = deal.polys_for(3)
-    ok, _ = vote_for(1, polys, cross, {3: [("self",)]},
-                     {3: ((rf + 1) % P, rg)}, P)
+    ok, _ = vote_for(1, polys, cross, {3}, {}, {3: ((rf + 1) % P, rg)}, P)
     assert not ok
 
     # own reveal: adopted, vote iff it matches crosses
     mine = deal.polys_for(1)
-    ok, adopted = vote_for(1, None, cross, {1: [("self",)]}, {1: mine}, P)
+    ok, adopted = vote_for(1, None, cross, {1}, {}, {1: mine}, P)
     assert ok and adopted is mine
-    ok, _ = vote_for(1, None, cross, {1: [("self",)]},
+    ok, _ = vote_for(1, None, cross, {1}, {},
                      {1: ((mine[0] + 1) % P, mine[1])}, P)
     assert not ok
 
@@ -271,8 +270,8 @@ def test_machine_byzantine_crosses_and_false_complaint_still_accept():
         if rnd == 2:    # false accusation against party 1, wrong claims
             fc, gc = deal.polys_for(bad)
             return [EvssMsg("complain", sender, BCAST,
-                            (("pair", 1, (horner(fc, [1], P)[0] + 1) % P,
-                              horner(gc, [1], P)[0]),))]
+                            (False, {1: ((horner(fc, [1], P)[0] + 1) % P,
+                                         horner(gc, [1], P)[0])}))]
         return out
 
     verdicts, _, _ = run_machine(n, t, lab, (2, 1), P, 1, deal, tamper)
@@ -524,8 +523,9 @@ def test_complaint_claims_must_be_field_arrays(monkeypatch):
     seen = []
     real = compc.evss.reveals_for
     monkeypatch.setattr(compc.evss, "reveals_for",
-                        lambda deal, complaints:
-                        seen.append(complaints) or real(deal, complaints))
+                        lambda deal, selfs, claims:
+                        seen.append(selfs | {c for c, _ in claims})
+                        or real(deal, selfs, claims))
 
     def run(spoil):
         s = batch_scenario()
@@ -593,9 +593,12 @@ def replay_single_instance(envelopes, iid, n, t, label, shape, p,
                     body = (e.recipient, us[k], vs[k])
             elif kind == "complain":
                 _, selfs, pairs = e.payload
-                items = tuple(("self",) for x in selfs if x == iid) + tuple(
-                    ("pair",) + it[1:] for it in pairs if it[0] == iid)
-                body = items or None
+                claims = {}
+                for it in pairs:
+                    if it[0] == iid:
+                        claims.setdefault(it[1], it[2:])
+                if iid in selfs or claims:
+                    body = (iid in selfs, claims)
             elif kind == "reveal":
                 items = tuple(it[1:] for it in e.payload[1] if it[0] == iid)
                 body = items or None

@@ -712,11 +712,14 @@ FORGED = {
     "out-float": _rewrite("out", lambda ctx, pl: (pl[0],
                                                   pl[1].astype(float))),
     # envelope headers: the first two raised ParameterViolation, the
-    # array recipient TypeError, and "xyz" was delivered as private
+    # array recipient TypeError, and "xyz" was delivered as private;
+    # an array channel must not reach a comparison with BCAST or PRIV
     "header-recipient-999": _send(":cross", PRIV, 999),
     "header-recipient-str": _send(":cross", PRIV, "3"),
     "header-recipient-array": _send(":cross", PRIV, np.array([3])),
     "header-channel-xyz": _send(":cross", "xyz", 3),
+    "header-channel-array": _send(":cross", np.array([PRIV, PRIV]), 3),
+    "header-channel-array-1": _send(":cross", np.array([PRIV]), 3),
 }
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from compc.errors import ParameterViolation
 from compc.net import (BCAST, PRIV, Field, Network, Scenario, Transcript,
                        tagged)
 
@@ -39,6 +40,20 @@ def test_exchange_delivers_nothing_from_a_silent_party():
         assert sorted(set(senders)) == [1, 3, 4]
     assert len(inboxes[1]) == 6     # three broadcasts, three private
     assert len(inboxes[3]) == 3
+
+
+@pytest.mark.parametrize("channel, recipient", [
+    (PRIV, 999), (PRIV, "3"), (PRIV, np.array([3])), ("xyz", 3),
+    (np.array([PRIV, PRIV]), 3), (np.array([PRIV]), 3)])
+def test_a_bad_header_from_an_honest_party_raises(channel, recipient):
+    """An honest send with a malformed header is a protocol bug; the
+    same send from a corrupted party is dropped, as
+    test_malformed_payloads_are_dropped_whole checks."""
+    s = scen()
+    boxes = outboxes(s.workers)
+    boxes[3].append((channel, recipient, ("bad",)))
+    with pytest.raises(ParameterViolation, match="bad header"):
+        Network(s, Transcript()).exchange("x:send", boxes)
 
 
 class FilterOnly:

@@ -1,6 +1,6 @@
 """Run a fixed set of compc scenarios and compare two trees run by run.
 
-    python3 tools/runset.py --tree PATH --out FILE [--limit N]
+    python3 tools/runset.py --tree PATH --out FILE
     python3 tools/runset.py --diff A B
 
 --tree imports compc from PATH/src and from nowhere else, runs every
@@ -132,10 +132,10 @@ def record(run, s):
     return out
 
 
-def write(tree, path, limit=None):
+def write(tree, path):
     import_tree(tree)
     with open(path, "w") as f:
-        for run, s in itertools.islice(run_set(), limit):
+        for run, s in run_set():
             f.write(json.dumps(record(run, s), sort_keys=True) + "\n")
 
 
@@ -160,7 +160,6 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tree", help="checkout whose src/compc runs the set")
     ap.add_argument("--out", help="JSON-lines file to write")
-    ap.add_argument("--limit", type=int, help="run only the first N runs")
     ap.add_argument("--diff", nargs=2, metavar=("A", "B"))
     args = ap.parse_args(argv)
     if args.diff:
@@ -169,7 +168,7 @@ def main(argv=None):
         return 1 if lines else 0
     if not (args.tree and args.out):
         ap.error("need --tree and --out, or --diff A B")
-    write(args.tree, args.out, args.limit)
+    write(args.tree, args.out)
     return 0
 
 
