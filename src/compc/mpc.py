@@ -28,16 +28,15 @@ G = ceil((m+t-1)/(2m-1)) polynomials of degree
 D = min(2m-1, m+t-1) + t - 1, one per group of at most 2m-1 masks (at
 m = 1 one per mask, of degree t); a partial group comes first, which
 keeps every sum_k x^(m+a_k) M_k an EVSS dealer can deal within the
-product's degree 2m+2t-2 (mask_layout). A complaint is settled by
-publicly evaluating everything the accused dealt at the complainer's
-point, in one call: same-shaped re-sharings share an EVSS batch and every value
-is recombined in one broadcast, 3g + 2 rounds for g distinct value
-shapes (1 at m = 1, 2 otherwise). The group cap keeps D <= 2m+t-2,
-the largest degree that evaluation decodes with t errors among
-3t+2m-1 points. A relation that fails publicly eliminates the dealer,
-a false accusation costs the accused nothing. Extraction weights are
-recomputed over the survivors, so at least 2m+2t-1 of the product
-polynomials must remain usable.
+product's degree 2m+2t-2 (mask_layout). A step's complaints are
+settled in one broadcast: each live party sends its cross value at
+the complainer's point of everything the accused dealt, each value is
+decoded in the open (eval_shared_poly) and the relation is re-run.
+The group cap keeps D <= 2m+t-2, the largest degree that decodes with
+t errors among 3t+2m-1 points. A relation that fails publicly
+eliminates the dealer; a false accusation costs the accused nothing.
+Extraction weights are recomputed over the survivors, so at least
+2m+2t-1 of the product polynomials must remain usable.
 
 Direction swaps and transposition re-share each point under one leg
 per output position (gap m-1-j for position j), with the legs sharing
@@ -236,10 +235,11 @@ def multiply_malicious(network, scenario, prefix, active, sa, sb):
     D = min(2m-1, m+t-1) + t - 1 in one batch on <prefix>:o (instance
     o<n>x<k>). The complaint broadcast runs in phase <prefix>:check and
     adversary strategies key on the "mul:check" suffix, so callers
-    pass a prefix ending in "mul". Complaints are settled by public
-    evaluation at the complainer's point; dealers confirmed by fewer
-    than 2m+2t-1 live workers are dropped, and fewer than 2m+2t-1
-    usable dealers raises TooFewSurvivors.
+    pass a prefix ending in "mul". All complaints are settled in one
+    <prefix>:res broadcast, ordered by (accused, complainer), of the
+    values in relation order (a, the b pieces, the mask groups, c);
+    dealers confirmed by fewer than 2m+2t-1 live workers are dropped,
+    and fewer than 2m+2t-1 usable dealers raises TooFewSurvivors.
     """
     s, p = scenario, scenario.p
     lab = sa.label
@@ -279,7 +279,7 @@ def multiply_malicious(network, scenario, prefix, active, sa, sb):
     # starts at mask starts[k]); none at t = 0
     starts, size = mask_layout(m, t)
     o_deg = size + t - 1
-    o_shares = {}
+    o_deals = {}
     if starts:
         olab = ShareLabel(size, t, 0)
         tags = [(n, k) for n in dealers for k in range(len(starts))]
@@ -291,9 +291,8 @@ def multiply_malicious(network, scenario, prefix, active, sa, sb):
             for n, k in tags]
         outcomes = _deal_batch(network, s, f"{prefix}:o", active,
                                instances, f"{prefix}:o")
-        o_shares = {key: outcomes[b.iid].shares
-                    for key, b in zip(tags, instances)
-                    if outcomes[b.iid].accepted}
+        o_deals = {key: outcomes[b.iid] for key, b in zip(tags, instances)
+                   if outcomes[b.iid].accepted}
         dealers = [n for n in dealers if n in active.active]
 
     clab = ShareLabel(m, t, 0, DIRECT)
@@ -304,8 +303,8 @@ def multiply_malicious(network, scenario, prefix, active, sa, sb):
         for n in dealers]
     outcomes = _deal_batch(network, s, f"{prefix}:c", active,
                            instances, f"{prefix}:c")
-    c_shares = {n: outcomes[b.iid].shares for n, b in zip(dealers, instances)
-                if outcomes[b.iid].accepted}
+    c_deals = {n: outcomes[b.iid] for n, b in zip(dealers, instances)
+               if outcomes[b.iid].accepted}
     dealers = [n for n in dealers if n in active.active]
 
     def relation_at(j, point_values):
@@ -319,10 +318,10 @@ def multiply_malicious(network, scenario, prefix, active, sa, sb):
     def held_values(j, n):
         av = a_bundles[n].values.get(j, zero_zw)
         pieces = [b_bundles[k][n].values.get(j, zero_ww) for k in range(m)]
-        ovals = [o_shares.get((n, k), {}).get(j) for k in range(len(starts))]
-        ovals = [zero_zw if v is None else v for v in ovals]
-        cv = c_shares[n].get(j)
-        return av, pieces, ovals, zero_zw if cv is None else cv
+        held = [o_deals[n, k].shares[j] for k in range(len(starts))]
+        *ovals, cv = [zero_zw if v is None else v
+                      for v in held + [c_deals[n].shares[j]]]
+        return av, pieces, ovals, cv
 
     outboxes = {}
     for j in active.active:
@@ -337,33 +336,23 @@ def multiply_malicious(network, scenario, prefix, active, sa, sb):
         inboxes[0], BCAST, ("mulcomplaint", int))
         if sender in active.active and accused in dealers}
 
-    # public settlement: evaluate everything the accused dealt at the
-    # complainer's point and re-run the relation in the open
-    by_accused = {}
-    for complainer, accused in sorted(complaints):
-        by_accused.setdefault(accused, []).append(complainer)
-    rx = 0
-    for accused in sorted(by_accused):
-        for j in by_accused[accused]:
-            if accused not in active.active:
-                break
-            tag = f"{prefix}:res{rx:02d}"
-            rx += 1
-            live = active.active
-            polys = (
-                [(_padded(a_bundles[accused].values, live, zero_zw), dmax)]
-                + [(_padded(b_bundles[k][accused].values, live, zero_ww),
-                    dmax - k) for k in range(m)]
-                + [(_padded(o_shares[(accused, k)], live, zero_zw), o_deg)
-                   for k in range(len(starts))]
-                + [(_padded(c_shares[accused], live, zero_zw), dmax)])
-            vals = eval_shared_poly(network, s, tag, active, polys, j)
-            av, pieces = vals[0], vals[1:m + 1]
-            ovals, cv = vals[m + 1:-1], vals[-1]
-            if not relation_at(j, (av, pieces, ovals, cv)):
-                before = set(active.eliminated)
-                active.eliminate(accused, BAD_PRODUCT)
-                _record_eliminations(network, f"{prefix}:res", before, active)
+    # public settlement: one broadcast opens what each accused dealt
+    settled = sorted((n, j) for j, n in complaints)
+    if settled:
+        before = set(active.eliminated)
+        vals = eval_shared_poly(network, s, f"{prefix}:res", active, [
+            poly for n, j in settled for poly in
+            [(a_bundles[n].g, dmax, (z, w), j)]
+            + [(b_bundles[k][n].g, dmax - k, (w, w), j) for k in range(m)]
+            + [(o_deals[n, k].g, o_deg, (z, w), j)
+               for k in range(len(starts))]
+            + [(c_deals[n].g, dmax, (z, w), j)]])
+        width = m + len(starts) + 2
+        for x, (n, j) in enumerate(settled):
+            av, *rest, cv = vals[x * width:(x + 1) * width]
+            if not relation_at(j, (av, rest[:m], rest[m:], cv)):
+                active.eliminate(n, BAD_PRODUCT)
+        _record_eliminations(network, f"{prefix}:res", before, active)
 
     contested = {n: {c for c, a in complaints if a == n} for n in dealers}
     confirmed = []
@@ -379,7 +368,7 @@ def multiply_malicious(network, scenario, prefix, active, sa, sb):
     lam = coeff_extraction_combo(confirmed, 2 * m + 2 * t - 2, m - 1, p)
     live = active.active
     # c[nx, jx] = confirmed dealer nx's product share at live party jx
-    c = np.array([list(_padded(c_shares[n], live, zero_zw).values())
+    c = np.array([list(_padded(c_deals[n].shares, live, zero_zw).values())
                   for n in confirmed])
     out = mat_mul(np.array([lam]), c.reshape(len(confirmed), -1), p)
     return SharedMatrix(clab, dict(zip(live, out.reshape(c.shape[1:]))),

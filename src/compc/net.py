@@ -324,26 +324,30 @@ class Silent(Strategy):
 
 
 class RandomByzantine(Strategy):
-    """Drops or perturbs messages while keeping them well-typed."""
+    """Drops or perturbs messages while keeping them well-typed. Each
+    (party, phase) draws from its own stream, so the size of one
+    phase's payloads does not shift the mutations of any other."""
 
-    def _mutate(self, obj):
+    def _mutate(self, obj, rng):
         p = self.shared["p"]
         if isinstance(obj, np.ndarray):
-            if self.rng.random() < 0.5:
-                return (obj + self.rng.integers(1, p, size=obj.shape)) % p
+            if rng.random() < 0.5:
+                return (obj + rng.integers(1, p, size=obj.shape)) % p
             return obj
         if isinstance(obj, tuple):
-            return tuple(self._mutate(x) for x in obj)
+            return tuple(self._mutate(x, rng) for x in obj)
         return obj
 
     def act(self, ctx, outbox):
+        rng = rng_for(ctx["scenario"].seed, self.party,
+                      f"adversary:RandomByzantine:{ctx['phase']}")
         out = []
         for channel, recipient, payload in outbox:
-            roll = self.rng.random()
+            roll = rng.random()
             if roll < 0.2:
                 continue
             if roll < 0.7:
-                payload = self._mutate(payload)
+                payload = self._mutate(payload, rng)
             out.append((channel, recipient, payload))
         return out
 

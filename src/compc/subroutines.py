@@ -17,23 +17,24 @@ number of values it checks:
     broadcast carries every family's constant-vector syndrome against
     its degree code, and each is decoded; parties whose constant is off
     the codeword are eliminated.
-  - verify_gap_form: checks that accepted subshare polynomials keep
-    their interior zero run, from the EVSS cross polynomials alone,
-    for every gapped family in one parity broadcast.
-    Origin o's subshare Q_o(y) = S_o(0, y) sits in a bivariate S_o of
-    degree d = zeta+t-1 of which party i holds g_i(y) = S_o(alpha_i, y).
-    With H the parity matrix of the gapped code over the live points,
-    P_o(x) = sum_j H_j S_o(x, alpha_j) has degree d and P_o(0) is the
-    gap parity of Q_o. Each party broadcasts P_o(alpha_i), computed
-    locally from g_i, and the word is decoded publicly: a nonzero
-    constant eliminates the origin, and a row off the decoded codeword
-    eliminates its sender. Honest rows lie on P_o once the origin's
-    EVSS is accepted. For an honest origin P_o(0) = 0, and what any t
-    parties see of the deal and the rows does not depend on Q_o(0)
-    (the test suite checks this exactly with a rank test).
-  - eval_shared_poly: collaborative public evaluation of several shared
-    polynomials at one point, built from one zero-gap
-    subshare_of_shares call and one decoded recombination broadcast.
+  - verify_gap_form and eval_shared_poly open values of EVSS-dealt
+    polynomials from the cross polynomials alone, in one broadcast
+    (_open_cross). A dealer embeds Q in a bivariate S of degree d with
+    S(0, y) = Q(y), and party i holds g_i(y) = S(alpha_i, y). For
+    points beta_b and weights w_b, party i broadcasts
+    sum_b w_b g_i(beta_b): over the live parties a word of
+    P(x) = sum_b w_b S(x, beta_b), of degree d, with
+    P(0) = sum_b w_b Q(beta_b). Honest rows lie on P once the EVSS is
+    accepted; the word is decoded publicly, and a row off it
+    eliminates its sender.
+    verify_gap_form weighs the live points with the parity matrix of
+    the gapped code: P(0) is the gap parity of an origin's subshare,
+    and a nonzero one eliminates the origin. For an honest origin
+    P(0) = 0, and what any t parties see of the deal and the rows does
+    not depend on Q(0) (the test suite checks this exactly with a rank
+    test). eval_shared_poly takes the one point `target`: the word is
+    f_target(x) = S(x, target), which the party at target holds
+    already, and P(0) = Q(target).
 
 Within a shared round every word is decoded against the same active
 set and budget, so a cheater caught there keeps dealing in the step's
@@ -52,7 +53,7 @@ from .errors import (DecodingFailure, ParameterViolation, TooFewSurvivors)
 from .evss import BatchInstance, evss_deal_poly, run_evss_batch
 from .gf import FMatrix, mat_mul
 from .net import BCAST, Field, rng_for, tagged
-from .poly import lagrange_coeffs, vandermonde
+from .poly import vandermonde
 from .rscode import build_code, decode, syndrome_decode
 from .sharing import ShareLabel, make_share_poly
 
@@ -284,24 +285,69 @@ def subshare_of_shares(network, scenario, prefix, active, families):
     return bundles, active
 
 
+def _open_cross(network, scenario, phase, active, parts):
+    """Open weighted cross values on `phase` (see the module docstring).
+
+    parts: [(gs, weights, degree, shape)], gs one {party: g_i
+    coefficients or None} per polynomial dealt at label degree
+    `degree`, weights (k, degree+1) applied to each g_i (missing -> 0).
+    Each polynomial's k rows are decoded as one word with budget
+    min(active.budget(t), (len(live) - degree - 1) // 2). Once all
+    decode, corrected senders are eliminated with BadSubshareValue; a
+    word beyond its budget raises DecodingFailure and blames nobody,
+    and fewer than degree + 1 live parties raise TooFewSurvivors.
+    Returns, per part, the (k,) + shape constant of each polynomial.
+    """
+    p = scenario.p
+    live = active.active
+    if not parts:
+        return []
+    active.require(max(degree for _, _, degree, _ in parts) + 1)
+    rows = {i: [] for i in live}
+    for gs, weights, _, shape in parts:
+        k, d1 = weights.shape
+        # g[i, o] = party i's g for polynomial o; np.array copies once
+        zero = np.zeros((d1,) + shape, dtype=np.int64)
+        g = np.array([[zero if held.get(i) is None else held[i]
+                       for held in gs] for i in live])
+        out = mat_mul(weights, np.moveaxis(g, 2, 0).reshape(d1, -1), p)
+        out = np.moveaxis(out.reshape((k, len(live), len(gs)) + shape), 0, 2)
+        for ix, i in enumerate(live):
+            rows[i].append(out[ix].reshape((len(gs) * k,) + shape))
+    words = _broadcast_rows(
+        network, scenario, phase, live, rows,
+        [(len(gs) * w.shape[0],) + shape for gs, w, _, shape in parts])
+
+    budget = active.budget(scenario.t)
+    consts, errs = [], set()
+    for (gs, weights, degree, shape), word in zip(parts, words):
+        k = weights.shape[0]
+        e_max = min(budget, (len(live) - degree - 1) // 2)
+        blocks = word.reshape((len(live), len(gs), k * shape[0]) + shape[1:])
+        consts.append([])
+        for ox in range(len(gs)):
+            poly, found = decode(degree, live, blocks[:, ox], e_max, p)
+            # the constant term; c is trimmed, and an empty c sums to zero
+            consts[-1].append(poly.c[:1].sum(axis=0).reshape((k,) + shape))
+            errs |= found
+    for pt in sorted(errs):
+        active.eliminate(int(pt), BAD_SUBSHARE)
+    return consts
+
+
 def verify_gap_form(network, scenario, prefix, active, families):
     """Check each origin's subshare polynomial for its interior zero run.
 
     families: [{origin: SubshareBundle}] from one subshare_of_shares
     call; families without a gap (zeta < 2) are skipped, and nothing
     runs when none is left. Otherwise one broadcast on <prefix>:par
-    carries every live party's parity rows P_o(alpha_i) for every
-    checked family and origin, computed from the g polynomials the
-    origins' own EVSS deals gave it (see the module docstring). Each
-    origin's word is decoded once at degree zeta+t-1 within the
-    remaining adversary budget. A nonzero constant eliminates the
-    origin with BadGapForm; every corrected position eliminates its
-    sender with BadSubshareValue. A word beyond the budget raises
-    DecodingFailure and blames nobody. Returns the updated ActiveSet.
+    opens every checked origin's gap parity at degree zeta+t-1; a
+    nonzero one eliminates the origin with BadGapForm. Returns the
+    updated ActiveSet.
     """
-    s, p, t = scenario, scenario.p, scenario.t
+    p, t = scenario.p, scenario.t
     live = active.active
-    checks, rows = [], {i: [] for i in live}
+    checks, parts = [], []
     for bundles in families:
         checked = [o for o in live if o in bundles]
         if not checked or bundles[checked[0]].zeta < 2:
@@ -310,67 +356,28 @@ def verify_gap_form(network, scenario, prefix, active, families):
         shape = next(iter(bundles[checked[0]].values.values())).shape
         # P_o(alpha_i) = sum_j H_j g_i(alpha_j) = (H V) @ (g_i's coeffs)
         h = build_code(live, (0,) + tuple(range(zeta, zeta + t)), p).H
-        weights = mat_mul(h, vandermonde(live, zeta + t, p), p)
-        k, d1 = weights.shape
-        # g[i, o] = party i's g coefficients for origin o, missing -> 0
-        g = np.zeros((len(live), len(checked), d1) + shape, dtype=np.int64)
-        for ox, o in enumerate(checked):
-            for ix, i in enumerate(live):
-                gi = bundles[o].g.get(i)
-                if gi is not None:
-                    g[ix, ox] = gi
-        par = mat_mul(weights, np.moveaxis(g, 2, 0).reshape(d1, -1), p)
-        par = np.moveaxis(
-            par.reshape((k, len(live), len(checked)) + shape), 0, 2)
-        for ix, i in enumerate(live):
-            rows[i].append(par[ix].reshape((len(checked) * k,) + shape))
-        checks.append((checked, zeta, k, shape))
-    if not checks:
-        return active
+        parts.append(([bundles[o].g for o in checked],
+                      mat_mul(h, vandermonde(live, zeta + t, p), p),
+                      zeta + t - 1, shape))
+        checks.append(checked)
 
     before = set(active.eliminated)
-    words = _broadcast_rows(
-        network, s, f"{prefix}:par", live, rows,
-        [(len(checked) * k,) + shape for checked, _, k, shape in checks])
-    budget = active.budget(t)
-    for (checked, zeta, k, shape), word in zip(checks, words):
-        for ox, o in enumerate(checked):
-            part = word[:, ox * k:(ox + 1) * k].reshape(
-                (len(live), k * shape[0]) + shape[1:])
-            poly, errs = decode(zeta + t - 1, live, part, budget, p)
-            if poly.c[:1].any():      # the constant P_o(0); c is trimmed
+    consts = _open_cross(network, scenario, f"{prefix}:par", active, parts)
+    for checked, const in zip(checks, consts):
+        for o, parity in zip(checked, const):
+            if parity.any():
                 active.eliminate(o, BAD_GAP)
-            for pt in sorted(errs):
-                active.eliminate(int(pt), BAD_SUBSHARE)
     _record_eliminations(network, prefix, before, active)
     return active
 
 
-def eval_shared_poly(network, scenario, prefix, active, polys, target):
-    """Everyone learns F(target) for every F from its shares F(alpha_n).
-
-    polys: [(f_values, p_deg)]. Re-shares them all through one
-    subshare_of_shares call with zeta = 1 (no gap), so same-shaped
-    values share one EVSS batch and wrong constants are eliminated,
-    then recombines every F with Lagrange weights over the surviving
-    points in one broadcast on <prefix>:mix and decodes each degree-t
-    word. Returns the (r, c) value of every F at target, in order.
-    Fewer than max(p_deg) + 1 active parties raise TooFewSurvivors.
+def eval_shared_poly(network, scenario, phase, active, polys):
+    """Everyone learns Q(target) for several EVSS-dealt Q, in one
+    broadcast on `phase`; polys: [(g, degree, shape, target)], g the
+    {party: g_i coefficients} of Q's accepted deal at label degree
+    `degree`. Returns each (r, c) value Q(target), in order.
     """
-    s, p, t = scenario, scenario.p, scenario.t
-    top = max(p_deg for _, p_deg in polys)
-    if len(active.active) < top + 1:
-        raise TooFewSurvivors(
-            f"{len(active.active)} active parties cannot fix degree {top}")
-    bundles, active = subshare_of_shares(
-        network, s, f"{prefix}:sub", active,
-        [(f"{prefix}:sub{k}", vals, p_deg, 1)
-         for k, (vals, p_deg) in enumerate(polys)])
-    live = active.active
-    hpub = np.array(lagrange_coeffs(live, target, p),
-                    dtype=np.int64).reshape(-1, 1)
-    parts = [({j: {o: b[o].values[j] for o in live} for j in live}, live,
-              hpub, t, b[live[0]].values[live[0]].shape) for b in bundles]
-    out = shares_times_matrix(network, s, f"{prefix}:mix", active,
-                              parts, active.budget(t))
-    return [v[0] for v in out]
+    parts = [([g], vandermonde([target], degree + 1, scenario.p), degree,
+              shape) for g, degree, shape, target in polys]
+    return [const[0][0] for const in
+            _open_cross(network, scenario, phase, active, parts)]

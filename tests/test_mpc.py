@@ -24,7 +24,7 @@ from compc.mpc import (ProgramOp, SharedMatrix, add_shares,
                        reverse_to_direct, transpose_shares)
 from compc.net import (BCAST, PRIV, STRATEGY_NAMES, AdversaryController,
                        Network, Scenario, Strategy, Transcript, run_scenario)
-from compc.poly import MatPoly, coeff_extraction_combo, interpolate
+from compc.poly import MatPoly, coeff_extraction_combo, horner, interpolate
 from compc.sharing import (DIRECT, REVERSE, Share, ShareLabel,
                            make_share_poly, reconstruct, robust_reconstruct)
 from compc.subroutines import (BAD_GAP, BAD_PRODUCT, BAD_SUBSHARE,
@@ -291,6 +291,37 @@ def test_multiply_malicious_two_cheating_dealers():
     out, active = multiply_malicious(net, s, "mul", active, sa, sb)
     assert active.eliminated == {2: BAD_SUBSHARE, 5: BAD_SUBSHARE}
     assert np.array_equal(open_shared(out, s.p, t).a, direct_product(a, b))
+
+
+def test_settlement_rows_reveal_only_what_the_complainer_holds():
+    # an honest dealer (1) falsely accused by party 3: one :res
+    # broadcast, in which every honest party i sends f_3(alpha_i) of
+    # each polynomial the dealer dealt, in relation order (a, the b
+    # pieces, the mask groups, c); f_3 is read from the deals party 3
+    # itself received
+    m, t, j = 2, 1, 3
+    s, net, active, tr = mul_setup(m, t,
+                                   adversaries=((j, "FalseComplainer"),))
+    rng = np.random.default_rng(31)
+    a = rand_fm(rng, s.z, s.z, s.p)
+    b = rand_fm(rng, s.z, s.z, s.p)
+    sa = shared_value(a, ShareLabel(m, t, 0, DIRECT), s.n, rng)
+    sb = shared_value(b, ShareLabel(m, t, 0, REVERSE), s.n, rng)
+    out, active = multiply_malicious(net, s, "mul", active, sa, sb)
+    assert active.eliminated == {}
+    assert np.array_equal(open_shared(out, s.p, t).a, direct_product(a, b))
+    own = [f for e in tr.envelopes
+           if e.phase.endswith(":deal") and (e.sender, e.recipient) == (1, j)
+           for f in e.payload[2]]
+    assert len(own) == m + len(mask_layout(m, t)[0]) + 2
+    res = [e for e in tr.envelopes if e.phase == "mul:res"]
+    assert sorted(e.sender for e in res) == list(s.workers)
+    for e in res:
+        if e.sender == j:
+            continue
+        assert len(e.payload[1]) == len(own)
+        for row, f in zip(e.payload[1], own):
+            assert np.array_equal(row, horner(f, [e.sender], s.p))
 
 
 def test_multiply_malicious_rejects_bad_operands():

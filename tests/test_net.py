@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from compc.errors import ParameterViolation
 from compc.net import (BCAST, PRIV, Field, Network, Scenario, Transcript,
-                       tagged)
+                       encode, tagged)
 
 
 def scen(adversaries=()):
@@ -76,6 +76,31 @@ def test_the_adversary_sees_phase_scenario_and_the_given_ctx():
     assert fake.seen == [
         {"phase": "x:check", "scenario": s, "active": (1, 2, 3)},
         {"phase": "x:send", "scenario": s}]
+
+
+def test_random_byzantine_draws_one_stream_per_phase():
+    """Padding one phase's payload leaves the mutations of every other
+    phase unchanged: each (party, phase) has a stream of its own."""
+    s = scen(adversaries=((2, "RandomByzantine"),))
+    rng = np.random.default_rng(0)
+    phases = [f"x{k}:syn" for k in range(8)]
+    stacks = {ph: tuple(rng.integers(0, 13, size=(3, 2, 2))
+                        for _ in range(2)) for ph in phases}
+
+    def sent(padded):
+        net = Network(s, Transcript())
+        for ph in phases:
+            pad = (np.zeros((5, 2, 2), dtype=np.int64),) * (ph == padded)
+            net.exchange(ph, {2: [(BCAST, -1, ("stm", stacks[ph] + pad))]})
+        return {e.phase: encode(e.payload)
+                for e in net.transcript.envelopes}
+
+    base = sent(None)
+    assert base != {ph: encode(("stm", stacks[ph])) for ph in phases}
+    for padded in phases[:4]:
+        other = sent(padded)
+        assert {ph: v for ph, v in other.items() if ph != padded} == \
+            {ph: v for ph, v in base.items() if ph != padded}
 
 
 # ---------------------------------------------------------------------------

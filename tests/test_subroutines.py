@@ -10,7 +10,7 @@ from compc.errors import (DecodingFailure, ParameterViolation,
 from compc.evss import evss_deal_poly
 from compc.gf import FMatrix
 from compc.net import AdversaryController, Network, Scenario, Transcript
-from compc.poly import horner
+from compc.poly import MatPoly, horner
 from compc.sharing import ShareLabel, make_share_poly
 from compc.subroutines import (ActiveSet, BAD_GAP, BAD_SUBSHARE,
                                EVSS_REJECTED, SubshareBundle,
@@ -65,16 +65,31 @@ def subshare(net, s, active, f_vals, p_deg, zeta):
     return bundles[0], active
 
 
-def evaluate(net, s, active, f_vals, p_deg, target):
-    """One polynomial through eval_shared_poly."""
-    return eval_shared_poly(net, s, "ev", active, [(f_vals, p_deg)],
-                            target)[0]
+def dealt_g(fc, degree, live, p, seed=0):
+    """(g polynomials per party, EvssDeal) of an EVSS deal of the
+    polynomial with coefficients fc at label degree `degree`, bypassing
+    the network."""
+    deal = evss_deal_poly(MatPoly(fc, p), ShareLabel(degree + 1, 0),
+                          np.random.default_rng(seed))
+    return {j: deal.polys_for(j)[1] for j in live}, deal
+
+
+def evaluate(net, s, active, g, degree, target):
+    """One dealt polynomial through eval_shared_poly."""
+    shape = next(iter(g.values())).shape[1:]
+    return eval_shared_poly(net, s, "ev", active,
+                            [(g, degree, shape, target)])[0]
+
+
+def sent_rows(transcript, phase):
+    """Each sender's stacks on one stm broadcast phase."""
+    return {e.sender: e.payload[1] for e in transcript.envelopes
+            if e.phase == phase}
 
 
 def parity_rows(transcript):
     """Each sender's rows of the one gapped family checked."""
-    return {e.sender: e.payload[1][0] for e in transcript.envelopes
-            if e.phase.endswith(":par")}
+    return {i: rows[0] for i, rows in sent_rows(transcript, "gap:par").items()}
 
 
 # ---------------------------------------------------------------------------
@@ -437,61 +452,96 @@ def test_gap_coefficient_strategy_honest_without_gap():
 
 
 def test_eval_known_line():
-    # F = 2 + 2x over GF(7): F(5) = 12 mod 7
+    # Q = 2 + 2y over GF(7): Q(5) = 12 mod 7, in one broadcast in which
+    # party i sends S(alpha_i, 5) = f_5(alpha_i) of the known bivariate
     s = scen(4, 1, p=7)
     net = net_for(s)
-    active = ActiveSet(s.workers)
     fc = np.array([2, 2], dtype=np.int64).reshape(2, 1, 1)
-    out = evaluate(net, s, active,
-                   shares_of(fc, s.workers, s.p), 1, 5)
+    g, deal = dealt_g(fc, 1, s.workers, s.p)
+    out = evaluate(net, s, ActiveSet(s.workers), g, 1, 5)
     assert out.shape == (1, 1) and out[0, 0] == 5
+    assert net.round == 1
+    f5 = deal.polys_for(5)[0]
+    for i, (row,) in sent_rows(net.transcript, "ev").items():
+        assert np.array_equal(row, horner(f5, [i], s.p))
 
 
 def test_eval_constant_any_target():
     s = scen(4, 1, p=97)
-    net = net_for(s)
-    active = ActiveSet(s.workers)
     fc = np.full((1, 1, 1), 3, dtype=np.int64)
+    g, _ = dealt_g(fc, 0, s.workers, s.p)
     for target in (0, 1, 42):
-        n2 = net_for(s)
-        out = evaluate(n2, s, ActiveSet(s.workers),
-                       shares_of(fc, s.workers, s.p), 0, target)
+        out = evaluate(net_for(s), s, ActiveSet(s.workers), g, 0, target)
         assert out[0, 0] == 3
 
 
 def test_eval_byzantine_broadcaster_unchanged():
+    # the value is right whatever party 2 sends; a row off the word
+    # (perturbed or withheld) is corrected and eliminates its sender
     rng = np.random.default_rng(12)
     fc = rand_poly(rng, 1, (2, 2), 97)
     expect = horner(fc, [9], 97)[0]
-    for seed in range(3):
+    g, deal = dealt_g(fc, 1, range(1, 5), 97)
+    truth = horner(deal.polys_for(9)[0], [2], 97)
+    blamed = 0
+    for seed in range(6):
         s = scen(4, 1, p=97, seed=seed,
                  adversaries=((2, "RandomByzantine"),))
         net = net_for(s)
-        out = evaluate(net, s, ActiveSet(s.workers),
-                       shares_of(fc, s.workers, s.p), 1, 9)
-        assert np.array_equal(out, expect)
-        assert ActiveSet(s.workers).eliminated == {}
+        active = ActiveSet(s.workers)
+        assert np.array_equal(evaluate(net, s, active, g, 1, 9), expect)
+        sent = sent_rows(net.transcript, "ev").get(2)
+        lied = sent is None or not np.array_equal(sent[0], truth)
+        assert active.eliminated == ({2: BAD_SUBSHARE} if lied else {})
+        blamed += lied
+    assert blamed
 
 
 def test_eval_requires_enough_active_parties():
+    # two survivors cannot fix degree 2: refused before any broadcast
     s = scen(4, 1, p=97)
     net = net_for(s)
     active = ActiveSet(s.workers)
     active.eliminate(1, EVSS_REJECTED)
     active.eliminate(2, EVSS_REJECTED)
     fc = rand_poly(np.random.default_rng(0), 2, (1, 1), s.p)
+    g, _ = dealt_g(fc, 2, s.workers, s.p)
     with pytest.raises(TooFewSurvivors):
-        evaluate(net, s, active,
-                 shares_of(fc, s.workers, s.p), 2, 3)
+        evaluate(net, s, active, g, 2, 3)
+    assert net.round == 0
 
 
 def test_eval_too_few_survivors_after_rejection():
+    # an EVSS batch rejects dealer 2; the three survivors still fix
+    # degree 2 but refuse degree 3
     s = scen(4, 1, p=97, adversaries=((2, "InconsistentEvssDealer"),))
     net = net_for(s)
-    fc = rand_poly(np.random.default_rng(1), 3, (1, 1), s.p)
+    f_vals = shares_of(rand_poly(np.random.default_rng(1), 1, (1, 1), s.p),
+                       s.workers, s.p)
+    _, active = subshare(net, s, ActiveSet(s.workers), f_vals, 1, 1)
+    assert active.eliminated == {2: EVSS_REJECTED}
+    fc = rand_poly(np.random.default_rng(2), 3, (1, 1), s.p)
+    g, _ = dealt_g(fc[:3], 2, s.workers, s.p)
+    assert np.array_equal(evaluate(net, s, active, g, 2, 7),
+                          horner(fc[:3], [7], s.p)[0])
+    g, _ = dealt_g(fc, 3, s.workers, s.p)
     with pytest.raises(TooFewSurvivors):
-        evaluate(net, s, ActiveSet(s.workers),
-                 shares_of(fc, s.workers, s.p), 3, 2)
+        evaluate(net, s, active, g, 3, 7)
+
+
+def test_eval_budget_shrinks_below_the_threshold():
+    # degree 2 over 4 parties leaves no room for a correction at t = 1:
+    # an honest word decodes exactly, a withheld row aborts unblamed
+    fc = rand_poly(np.random.default_rng(3), 2, (1, 2), 97)
+    g, _ = dealt_g(fc, 2, range(1, 5), 97)
+    s = scen(4, 1, p=97)
+    assert np.array_equal(evaluate(net_for(s), s, ActiveSet(s.workers),
+                                   g, 2, 5), horner(fc, [5], 97)[0])
+    s = scen(4, 1, p=97, adversaries=((4, "Silent"),))
+    active = ActiveSet(s.workers)
+    with pytest.raises(DecodingFailure):
+        evaluate(net_for(s), s, active, g, 2, 5)
+    assert active.eliminated == {}
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +562,15 @@ def test_honest_pipeline_property(seed, t, zeta, p_deg):
     bundles, active = subshare(net, s, active, f_vals, p_deg, zeta)
     active = verify_gap_form(net, s, "gap", active, [bundles])
     assert active.eliminated == {}
+    # every origin's subshare Q_o at one target, from the g polynomials
+    # its EVSS deal left, in one broadcast
     target = int(rng.integers(0, s.p))
-    out = evaluate(net, s, active, f_vals, p_deg, target)
-    assert np.array_equal(out, horner(fc, [target], s.p)[0])
+    rounds = net.round
+    out = eval_shared_poly(net, s, "ev", active, [
+        (bundles[o].g, zeta + t - 1, (2, 1), target) for o in s.workers])
+    assert net.round == rounds + 1 and active.eliminated == {}
+    for o, value in zip(s.workers, out):
+        assert np.array_equal(value, bundles[o].q.eval_many([target])[0])
 
 
 def test_adversarial_pipeline_never_eliminates_honest():

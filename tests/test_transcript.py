@@ -256,15 +256,16 @@ def test_byzantine_transcript_parses_back():
     tr = run_scenario(scenario(11, 2, 3, DEFAULT_PRIME, xs, program,
                                adversaries=((2, "FalseComplainer"),
                                             (7, "RandomByzantine"))))
-    assert any(e.phase.endswith(":mix") for e in tr.envelopes)
+    assert any(e.phase.endswith(":res") for e in tr.envelopes)
     assert_envelopes_parse_back(tr)
 
 
-# pinned when arrays began to be written as base64 little-endian
-# words; the envelopes, events and revealed product are unchanged
+# pinned when one :res broadcast of the accused's cross values began
+# to settle the product complaint against party 6 (it was re-shared
+# before); the revealed product and the elimination are unchanged
 GOLDEN_SHA256 = \
-    "2c28f60ea7a9b4d9b01178fe97e8c25df4ae2911039ba428616ffb20a1fccaad"
-GOLDEN_BYTES = 92_515
+    "77717d904aca8f0aa02b1a262cb7a2ced5c7c45c965288bf3d0465867ee17bb7"
+GOLDEN_BYTES = 57_541
 GOLDEN_MASTER = \
     "master=642e8e050764e67a63a82d39c88293b2f303e30cfdd4aab049e4935c86106e9e"
 
