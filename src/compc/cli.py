@@ -136,9 +136,6 @@ def load_scenario(args):
                                 for i in range(settings["t"]))
     p = settings["prime"]
     inputs = tuple(FMatrix(rows, p) for rows in raw_inputs)
-    shares = [op for op in program if op.kind == "share"]
-    if any(op.args[0] >= len(inputs) for op in shares):
-        raise ConfigError("program shares more sources than inputs provided")
     if not program:
         raise ConfigError("scenario has no program")
     return Scenario(n=settings["n"], t=settings["t"], m=settings["m"], p=p,

@@ -24,10 +24,11 @@ Vote rules:
 If nobody complains, everyone accepts immediately and the resolve and
 vote rounds carry no messages.
 
-One driver, run_evss_batch, applies these rules: it executes many
-same-shaped instances over the simulated network in five rounds, with
-the all-pairs checks vectorized across instances, and calls
-complaints_for, reveals_for and vote_for where a party must decide.
+One driver, run_evss_batch, applies these rules to many same-shaped
+instances over the simulated network in five rounds. complaints_for
+alone decides which cross points are wrong, in one call per party over
+every instance it holds; reveals_for and vote_for decide each
+contested instance.
 Each payload is read with one strict form per tag and dropped whole
 if any item does not fit, so a malformed claim or revealed pair counts
 as a complaint or an answer never sent.
@@ -97,21 +98,26 @@ def _pair_form(d1, shape, p):
     return (Field((d1,) + tuple(shape), p),) * 2
 
 
-def complaints_for(polys, cross_in, others, p):
-    """Pair claims a party holding `polys` must broadcast given the
-    cross points it received: {j: (f_i(a_j), g_i(a_j))} for every j in
-    `others` whose points are missing or differ. A party with no pair
+def complaints_for(held, others, u, v, recv):
+    """Pair claims of a party holding the instances `held`, from its own
+    cross evaluations u[x, k] = f_k(a_j), v[x, k] = g_k(a_j) at the
+    workers j = others[x] and the stacks it received, keyed by sender:
+    recv[j] = ({iid: position}, U, V). Returns (iid, j, f_i(a_j),
+    g_i(a_j)) in (iid, j) order for every held instance and every j
+    whose points are missing or differ. A party with no pair
     self-complains instead."""
-    js = sorted(others)
-    out = {}
-    for j, (own_u, own_v) in zip(js, horner(np.stack(polys, axis=1), js, p)):
-        got = cross_in.get(j)
-        ok = (got is not None
-              and np.array_equal(got[0], own_v)    # f_j(a_i) = g_i(a_j)
-              and np.array_equal(got[1], own_u))   # g_j(a_i) = f_i(a_j)
-        if not ok:
-            out[j] = (own_u, own_v)
-    return out
+    bad = np.ones((len(held), len(others)), dtype=bool)
+    for x, j in enumerate(others):
+        pos, us, vs = recv.get(j, ({}, None, None))
+        ks = [k for k, iid in enumerate(held) if iid in pos]
+        if ks:
+            at = [pos[held[k]] for k in ks]
+            # f_j(a_i) = g_i(a_j) and g_j(a_i) = f_i(a_j)
+            diff = (us[at] != v[x, ks]) | (vs[at] != u[x, ks])
+            bad[ks, x] = diff.reshape(len(ks), -1).any(axis=1)
+    # copies: a view would keep the whole stack alive in the transcript
+    return [(held[k], others[x], u[x, k].copy(), v[x, k].copy())
+            for k, x in zip(*np.nonzero(bad))]
 
 
 def reveals_for(deal, selfs, claims):
@@ -207,9 +213,12 @@ def run_evss_batch(network,
     """Run many same-shaped instances through five network rounds.
 
     All instances must share one (degree, value shape). Returns
-    {iid: EvssOutcome}. An instance nobody complained about finishes
-    at the complaint round; the resolve and vote rounds run only when
-    something was contested.
+    {iid: EvssOutcome}. Each party evaluates the pairs it holds at the
+    other workers once: the cross round sends those points, and
+    complaints_for checks them against the stacks the party received.
+    Claims about and reveals for a non-worker are ignored. An instance
+    nobody complained about finishes at the complaint round; the
+    resolve and vote rounds run only when something was contested.
     """
     s = scenario
     p = s.p
@@ -260,22 +269,18 @@ def run_evss_batch(network,
                         and iid not in states[i]:
                     states[i][iid] = (fs[k], gs[k])
 
-    # round 2: cross evaluations for every held instance
+    # round 2: cross evaluations of every held instance at the others
     outboxes = {}
     sent_cross = {}
     for i in workers:
         held = tuple(sorted(states[i]))
-        if not held:
-            outboxes[i] = []
-            continue
-        # (d+1, K, rows, cols) -> u[j, k] = f_k(alpha_j), (N, K, rows, cols)
-        u = horner(np.stack([states[i][iid][0] for iid in held], axis=1),
-                   workers, p)
-        v = horner(np.stack([states[i][iid][1] for iid in held], axis=1),
-                   workers, p)
-        sent_cross[i] = (held, u, v)
-        outboxes[i] = [(PRIV, j, ("evx", held, u[jx], v[jx]))
-                       for jx, j in enumerate(workers) if j != i]
+        others = tuple(j for j in workers if j != i)
+        # (d+1, K, rows, cols) -> u[x, k] = f_k(alpha_others[x])
+        u, v = (horner(np.stack([states[i][iid][c] for iid in held], axis=1),
+                       others, p) if held else None for c in (0, 1))
+        sent_cross[i] = (held, others, u, v)
+        outboxes[i] = [(PRIV, j, ("evx", held, u[x], v[x]))
+                       for x, j in enumerate(others) if held]
     inboxes = network.exchange(f"{prefix}:cross", outboxes, **ctx)
 
     # recv[i][j] = (position map, U stack, V stack), validated on ingest
@@ -291,53 +296,21 @@ def run_evss_batch(network,
                                    us, vs)
 
     def cross_views(i, iid):
-        """{sender: (u, v)} as complaints_for / vote_for expect."""
+        """{sender: (u, v)} as vote_for expects."""
         out = {}
         for j, (pos, us, vs) in recv[i].items():
             if iid in pos:
                 out[j] = (us[pos[iid]], vs[pos[iid]])
         return out
 
-    # round 3: complaints. Vectorized screen first: party i must act on
-    # instance k iff it lacks the pair or some sender's stack is
-    # missing, incomplete, or differs from i's own evaluations.
-    # suspect[i][iid] lists the senders the screen did not clear; a
-    # cleared sender's points match i's own, so complaints_for could
-    # never name it, and only the others are passed on.
-    suspect = {i: {} for i in workers}
-    for i in workers:
-        held, u, v = sent_cross.get(i, ((), None, None))
-        for iid in set(all_iids) - set(held):
-            suspect[i][iid] = []    # no pair: a self-complaint
-        if not held:
-            continue
-        for jx, j in enumerate(workers):
-            if j == i:
-                continue
-            got = recv[i].get(j)
-            if got is None or set(got[0]) != set(held):
-                doubted = held
-            else:
-                pos, us, vs = got
-                order = [pos[iid] for iid in held]
-                bad = ((us[order] != v[jx]) | (vs[order] != u[jx])) \
-                    .any(axis=tuple(range(1, us.ndim)))
-                doubted = [held[k] for k in np.flatnonzero(bad)]
-            for iid in doubted:
-                suspect[i].setdefault(iid, []).append(j)
-
-    # ("evc", self-complained ids, ((iid, j, u, v), ...) pair claims)
+    # round 3: ("evc", self-complained ids, ((iid, j, u, v), ...) pair
+    # claims); a party self-complains about every instance it lacks
     outboxes = {}
     for i in workers:
-        missing, pairs = [], []
-        for iid, senders in sorted(suspect[i].items()):
-            polys = states[i].get(iid)
-            if polys is None:
-                missing.append(iid)
-            else:
-                pairs += [(iid, j) + uv for j, uv in complaints_for(
-                    polys, cross_views(i, iid), senders, p).items()]
-        outboxes[i] = [(BCAST, -1, ("evc", tuple(missing), tuple(pairs)))] \
+        held, others, u, v = sent_cross[i]
+        missing = tuple(iid for iid in all_iids if iid not in held)
+        pairs = tuple(complaints_for(held, others, u, v, recv[i]))
+        outboxes[i] = [(BCAST, -1, ("evc", missing, pairs))] \
             if missing or pairs else []
     inboxes = network.exchange(f"{prefix}:complain", outboxes, **ctx)
 
@@ -375,7 +348,8 @@ def run_evss_batch(network,
         for sender, (_, items) in tagged(inboxes[workers[0]], BCAST, (
                 "evr", [(str, int) + _pair_form(d1, shape, p)])):
             for iid, who, rf, rg in items:
-                if iid in reveals and registry[iid]["dealer"] == sender:
+                if iid in reveals and who in workers \
+                        and registry[iid]["dealer"] == sender:
                     reveals[iid].setdefault(who, (rf, rg))
 
         # round 5: votes on contested instances

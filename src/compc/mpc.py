@@ -466,8 +466,6 @@ def add_shares(sa, sb, active, p):
 
 def _share_input(network, scenario, prefix, active, src_ix, direction):
     s = scenario
-    if not 0 <= src_ix < len(s.inputs):
-        raise ParameterViolation(f"no input {src_ix}")
     lab = ShareLabel(s.m, s.t, 0, direction)
     source = s.n + 1 + src_ix
     deal = evss_deal(s.inputs[src_ix], lab,
@@ -503,45 +501,59 @@ def _reveal(network, scenario, prefix, active, sv):
     return secret
 
 
+# the op kinds whose arguments are all register names
+_READS = ("mul", "add", "transpose", "d2r", "r2d", "reveal")
+
+
+def check_program(program, n_inputs):
+    """Refuse a program, before any round runs, if an op has an unknown
+    kind, reads a register no earlier op wrote, or shares a source
+    index outside [0, n_inputs)."""
+    defined = set()
+    for op in program:
+        op = ProgramOp(*op)
+        if op.kind == "share":
+            if not 0 <= op.args[0] < n_inputs:
+                raise ParameterViolation(f"no input {op.args[0]}")
+        elif op.kind not in _READS:
+            raise ParameterViolation(f"unknown op kind {op.kind!r}")
+        elif not defined.issuperset(op.args):
+            raise ParameterViolation(
+                f"undefined register in {op.kind} {op.args!r}")
+        if op.kind != "reveal":
+            defined.add(op.dest)
+
+
 def execute(scenario):
     """Run the scenario's program over a fresh network; returns the
-    Transcript (master_output set by the last reveal op)."""
+    Transcript (master_output set by the last reveal op). The program
+    is checked whole before the first round."""
     s = scenario
+    check_program(s.program, len(s.inputs))
     transcript = Transcript()
     network = Network(s, transcript)
     active = ActiveSet(s.workers)
     regs = {}
-
-    def reg(name):
-        if name not in regs:
-            raise ParameterViolation(f"undefined register {name!r}")
-        return regs[name]
-
     for ix, op in enumerate(s.program):
-        if not isinstance(op, ProgramOp):
-            op = ProgramOp(*op)
+        op = ProgramOp(*op)
+        args = [regs[a] for a in op.args] if op.kind in _READS else op.args
         if op.kind == "share":
-            src_ix, direction = op.args
             regs[op.dest], active = _share_input(
-                network, s, f"r{ix}shr", active, src_ix, direction)
+                network, s, f"r{ix}shr", active, *args)
         elif op.kind == "mul":
             regs[op.dest], active = multiply_malicious(
-                network, s, f"r{ix}mul", active,
-                reg(op.args[0]), reg(op.args[1]))
+                network, s, f"r{ix}mul", active, *args)
         elif op.kind == "add":
-            regs[op.dest] = add_shares(reg(op.args[0]), reg(op.args[1]),
-                                       active, s.p)
+            regs[op.dest] = add_shares(*args, active, s.p)
         elif op.kind == "transpose":
             regs[op.dest], active = transpose_shares(
-                network, s, f"r{ix}tr", active, reg(op.args[0]))
+                network, s, f"r{ix}tr", active, *args)
         elif op.kind == "d2r":
             regs[op.dest], active = direct_to_reverse(
-                network, s, f"r{ix}rev", active, reg(op.args[0]))
+                network, s, f"r{ix}rev", active, *args)
         elif op.kind == "r2d":
             regs[op.dest], active = reverse_to_direct(
-                network, s, f"r{ix}dir", active, reg(op.args[0]))
-        elif op.kind == "reveal":
-            _reveal(network, s, f"r{ix}out", active, reg(op.args[0]))
+                network, s, f"r{ix}dir", active, *args)
         else:
-            raise ParameterViolation(f"unknown op kind {op.kind!r}")
+            _reveal(network, s, f"r{ix}out", active, *args)
     return transcript

@@ -5,8 +5,12 @@ run_evss_batch, which handles many instances per network round. This
 module drives one instance party by party over the same decision
 rules (complaints_for, reveals_for, vote_for and the revealed-pair
 form _pair_form from compc.evss), so the tests can replay a batch
-transcript through it and demand the same verdicts and shares. It is
-slow and exists only for tests.
+transcript through it and demand the same verdicts and shares. Its
+party holds one instance, so it calls complaints_for, which decides
+over a party's whole batch, with a batch of one. Like the batch, it
+drops cross points that are not field arrays of the value shape, and
+claims about and reveals for a non-worker. It is slow and exists only
+for tests.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +18,7 @@ from typing import NamedTuple
 
 from compc.evss import (EvssDeal, _pair_form, complaints_for,
                         reveals_for, vote_for)
-from compc.net import BCAST, PRIV, _fits
+from compc.net import BCAST, PRIV, Field, _fits
 from compc.poly import horner
 
 
@@ -107,13 +111,22 @@ def evss_round(state, inbox):
         return state, out
 
     if state.phase == "complain":
+        point = Field(tuple(state.shape), p)
         for msg in inbox:
             if msg.kind == "cross" and msg.sender in state.others \
-                    and msg.sender not in state.cross_in:
+                    and msg.sender not in state.cross_in \
+                    and _fits(msg.body[1:], (point, point)):
                 state.cross_in[msg.sender] = (msg.body[1], msg.body[2])
         if state.party in state.workers:
-            claims = {} if state.polys is None else complaints_for(
-                state.polys, state.cross_in, state.others, p)
+            claims = {}
+            if state.polys is not None:
+                # one instance: own points (N-1, 1, r, c), stacks of one
+                u, v = (horner(c, state.others, p)[:, None]
+                        for c in state.polys)
+                recv = {j: ({0: 0}, cu[None], cv[None])
+                        for j, (cu, cv) in state.cross_in.items()}
+                claims = {j: (cu, cv) for _, j, cu, cv in complaints_for(
+                    (0,), state.others, u, v, recv)}
             if state.polys is None or claims:
                 out.append(EvssMsg("complain", state.party, BCAST,
                                    (state.polys is None, claims)))
@@ -127,7 +140,8 @@ def evss_round(state, inbox):
                 if is_self:
                     state.selfs.add(msg.sender)
                 for j, uv in claims.items():
-                    state.claims.setdefault((msg.sender, j), uv)
+                    if j in state.workers:
+                        state.claims.setdefault((msg.sender, j), uv)
         if state.party == state.dealer and state.contested:
             ans = reveals_for(state.deal, state.selfs, state.claims)
             if ans:
@@ -143,7 +157,8 @@ def evss_round(state, inbox):
             if msg.kind == "reveal" and msg.sender == state.dealer \
                     and _fits(msg.body, [(int,) + state.pair_form]):
                 for who, fc, gc in msg.body:
-                    state.reveals.setdefault(who, (fc, gc))
+                    if who in state.workers:
+                        state.reveals.setdefault(who, (fc, gc))
         if state.contested:
             vote, adopted = vote_for(
                 state.party, state.polys, state.cross_in, state.selfs,

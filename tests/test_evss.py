@@ -112,19 +112,38 @@ def _pair_for(deal, i):
 
 
 def test_complaints_missing_and_mismatched_senders():
-    deal = evss_deal(FMatrix(np.array([[5]]), P), ShareLabel(1, 1, 0),
-                     np.random.default_rng(1))
-    polys = _pair_for(deal, 2)
-    good = {j: (grid_value(deal, 2, j), grid_value(deal, j, 2)) for j in (1, 3, 4)}
-    assert complaints_for(polys, good, (1, 3, 4), P) == {}
+    # party 2 holds instances "a" and "b"; an honest j sends it the
+    # stacks (g_2(a_j), f_2(a_j)) = (S(a_2, a_j), S(a_j, a_2)), here in
+    # the order ("b", "a") to exercise the position map
+    deals = [evss_deal(FMatrix(np.array([[w]]), P), ShareLabel(1, 1, 0),
+                       np.random.default_rng(w)) for w in (5, 6)]
+    held, others = ("a", "b"), (1, 3, 4)
+    u, v = (np.stack([horner(d.polys_for(2)[c], others, P) for d in deals],
+                     axis=1) for c in (0, 1))
+
+    def stack(j, iids):
+        ds = [deals[held.index(iid)] for iid in iids]
+        return ({iid: k for k, iid in enumerate(iids)},
+                np.stack([grid_value(d, 2, j) for d in ds]),
+                np.stack([grid_value(d, j, 2) for d in ds]))
+
+    good = {j: stack(j, ("b", "a")) for j in others}
+    assert complaints_for(held, others, u, v, good) == []
     bad = dict(good)
-    bad[3] = ((bad[3][0] + 1) % P, bad[3][1])
-    del bad[4]
-    got = complaints_for(polys, bad, (1, 3, 4), P)
-    assert sorted(got) == [3, 4]
-    u, v = got[3]
-    assert np.array_equal(u, horner(polys[0], [3], P)[0])
-    assert np.array_equal(v, horner(polys[1], [3], P)[0])
+    del bad[1]                      # 1 sent nothing
+    bad[3] = stack(3, ("b",))       # 3 lacks "a"
+    pos, us, vs = bad[4]            # 4's value for "b" is off
+    us = us.copy()
+    us[pos["b"]] = (us[pos["b"]] + 1) % P
+    bad[4] = (pos, us, vs)
+    got = complaints_for(held, others, u, v, bad)
+    assert [(iid, j) for iid, j, _, _ in got] == \
+        [("a", 1), ("a", 3), ("b", 1), ("b", 4)]
+    for iid, j, cu, cv in got:
+        fc, gc = deals[held.index(iid)].polys_for(2)
+        assert np.array_equal(cu, horner(fc, [j], P)[0])
+        assert np.array_equal(cv, horner(gc, [j], P)[0])
+        assert cu.base is None and cv.base is None    # copies, not views
 
 
 def test_reveals_only_for_wrong_claims_and_self():
@@ -547,6 +566,60 @@ def test_complaint_claims_must_be_field_arrays(monkeypatch):
             assert np.array_equal(spoiled.shares[i], silent.shares[i])
     # party 3's complaint reached nobody; party 2's did
     assert [sorted(c) for c in seen] == [[2], [2], [2]]
+
+
+class RevealForANonWorker:
+    """Drops dealer 2's deal stack to party 3, so that dealer 2 reveals
+    party 3's pair; with `who` set, also appends to that reveal a
+    well-formed pair of random values addressed to `who`."""
+
+    def __init__(self, who, pair):
+        self.who, self.pair = who, pair
+
+    def filter(self, ctx, outboxes):
+        if ctx["phase"].endswith(":deal"):
+            outboxes[2] = [s for s in outboxes[2] if s[1] != 3]
+        if self.who is not None and ctx["phase"].endswith(":resolve"):
+            outboxes[2] = [(ch, to, (tag, items + (("q", self.who)
+                                                   + self.pair,)))
+                           for ch, to, (tag, items) in outboxes[2]]
+        return outboxes
+
+
+@pytest.mark.parametrize("who", [0, 6, -3, 2 ** 40, 2 ** 70])
+def test_reveals_for_non_workers_are_ignored(who):
+    """A reveal item addressed to anyone outside the workers 1..5 is
+    ignored by the batch and by the state machine alike: both end as in
+    the same run without it. (Read, ids 0, 6 and -3 made every honest
+    party withhold, and 2**70 raised OverflowError in vote_for.)"""
+    s = batch_scenario()
+    lab = ShareLabel(1, 1, 0)
+    deal = evss_deal(rand_matrix(np.random.default_rng(16), 2, 2), lab,
+                     np.random.default_rng(17))
+    pair = tuple(np.random.default_rng(18).integers(0, P, size=(2, 2, 2, 2)))
+
+    def run(who):
+        net = fresh_net(s)
+        net.adversary = RevealForANonWorker(who, pair)
+        out = run_evss_batch(net, scenario=s, prefix="x", instances=[
+            BatchInstance("q", 2, lab, deal)])["q"]
+        sent = [it[1] for e in net.transcript.envelopes
+                if e.phase == "x:resolve" for it in e.payload[1]]
+        verdicts = replay_single_instance(
+            net.transcript.envelopes, "q", s.n, s.t, lab, (2, 2), s.p, 2,
+            deal)
+        return out, verdicts, sent
+
+    base, base_verdicts, _ = run(None)
+    out, verdicts, sent = run(who)
+    assert sent == [3, who]
+    assert base.accepted and out.accepted
+    for i in s.workers:
+        assert np.array_equal(out.shares[i], base.shares[i])
+        assert np.array_equal(out.g[i], base.g[i])
+        assert verdicts[i].accepted == base_verdicts[i].accepted
+        assert np.array_equal(verdicts[i].share, base_verdicts[i].share)
+        assert np.array_equal(verdicts[i].share, out.shares[i])
 
 
 def test_batch_deterministic_transcript():

@@ -854,13 +854,29 @@ def test_execute_is_deterministic():
     assert once() == once()
 
 
-def test_execute_rejects_unknown_ops():
+def test_execute_rejects_unknown_ops(monkeypatch):
+    """An unknown op kind, a register read before any op writes it and
+    a SHARE of a source without an input are refused before the first
+    round: no Network.exchange call happens."""
     p = 13
     x = np.zeros((2, 2), dtype=np.int64)
-    s = program_scenario(4, 1, 1, 2, p, 0, [x],
-                         [ProgramOp("frobnicate", (), "y")])
-    with pytest.raises(ParameterViolation):
-        execute(s)
+    mul = [ProgramOp("share", (0, DIRECT), "ra"),
+           ProgramOp("share", (1, REVERSE), "rb"),
+           ProgramOp("mul", ("ra", "rb"), "rc")]
+    exchanges = []
+    real = Network.exchange
+    monkeypatch.setattr(Network, "exchange", lambda net, phase, *a, **k:
+                        exchanges.append(phase) or real(net, phase, *a, **k))
+    for program in ([ProgramOp("frobnicate", (), "y")],
+                    mul + [ProgramOp("reveal", ("rz",))],
+                    mul[:2] + [ProgramOp("add", ("ra", "rc"), "rd")],
+                    [ProgramOp("transpose", ("ra",), "ra")] + mul,
+                    [ProgramOp("share", (-1, DIRECT), "ra")],
+                    mul[:1] + [ProgramOp("share", (2, REVERSE), "rb")]):
+        s = program_scenario(4, 1, 1, 2, p, 0, [x, x], program)
+        with pytest.raises(ParameterViolation):
+            execute(s)
+    assert exchanges == []
 
 
 @settings(max_examples=8, deadline=None)
