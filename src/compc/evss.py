@@ -3,12 +3,18 @@
 The dealer embeds the share polynomial Q(z) into a uniformly random
 bivariate S(x, y) of degree d = m+delta+t-1 in each variable with
 S(0, y) = Q(y), and privately sends party i the pair
-f_i(x) = S(x, alpha_i), g_i(y) = S(alpha_i, y). Parties exchange the
-cross evaluations f_i(alpha_j), g_i(alpha_j), broadcast complaints
-about mismatches, the dealer answers complaints whose claimed values
-are wrong by revealing the complainer's polynomial pair, and everyone
-votes. At least N-t Consistent votes accept the sharing, and party i's
-share is f_i(0) = Q(alpha_i).
+f_i(x) = S(x, alpha_i), g_i(y) = S(alpha_i, y). Each two workers i
+and j that are not the dealer exchange the cross evaluations
+f_i(alpha_j), g_i(alpha_j); the dealer sends no cross points and is
+sent none, since it chose both sides of any check it would take part
+in. Parties broadcast complaints about mismatches, the dealer answers
+complaints whose claimed values are wrong by revealing the
+complainer's polynomial pair, and everyone votes. At least N-t
+Consistent votes accept the sharing, and party i's share is
+f_i(0) = Q(alpha_i). With a corrupt dealer those votes include at
+least N-2t honest non-dealers, and each of them checks both values
+of every pair it shares with another, so each sees its own mismatch
+in time to complain.
 
 Vote rules:
   - a party with no deal and no reveal addressed to it withholds;
@@ -20,7 +26,8 @@ Vote rules:
   - a revealed polynomial that conflicts with a party's own pair
     makes that party withhold;
   - a party whose own pair was revealed adopts it and votes Consistent
-    iff the revealed pair matches every cross point it holds.
+    iff the revealed pair matches every cross point it holds (none
+    from the dealer).
 If nobody complains, everyone accepts immediately and the resolve and
 vote rounds carry no messages.
 
@@ -42,6 +49,7 @@ this package deals.
 """
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -98,26 +106,31 @@ def _pair_form(d1, shape, p):
     return (Field((d1,) + tuple(shape), p),) * 2
 
 
-def complaints_for(held, others, u, v, recv):
-    """Pair claims of a party holding the instances `held`, from its own
-    cross evaluations u[x, k] = f_k(a_j), v[x, k] = g_k(a_j) at the
-    workers j = others[x] and the stacks it received, keyed by sender:
-    recv[j] = ({iid: position}, U, V). Returns (iid, j, f_i(a_j),
-    g_i(a_j)) in (iid, j) order for every held instance and every j
-    whose points are missing or differ. A party with no pair
-    self-complains instead."""
-    bad = np.ones((len(held), len(others)), dtype=bool)
-    for x, j in enumerate(others):
-        pos, us, vs = recv.get(j, ({}, None, None))
-        ks = [k for k, iid in enumerate(held) if iid in pos]
-        if ks:
-            at = [pos[held[k]] for k in ks]
-            # f_j(a_i) = g_i(a_j) and g_j(a_i) = f_i(a_j)
-            diff = (us[at] != v[x, ks]) | (vs[at] != u[x, ks])
-            bad[ks, x] = diff.reshape(len(ks), -1).any(axis=1)
-    # copies: a view would keep the whole stack alive in the transcript
-    return [(held[k], others[x], u[x, k].copy(), v[x, k].copy())
-            for k, x in zip(*np.nonzero(bad))]
+def complaints_for(sent, recv):
+    """Pair claims of one party from the cross stacks it sent and the
+    ones it received, both keyed by the other worker j as (iids, U, V).
+    sent[j] holds U[k] = f_k(a_j), V[k] = g_k(a_j) for every instance
+    iids[k] that the party holds and neither it nor j dealt; recv[j] is
+    the stack j sent, whose rows must be (g_k(a_j), f_k(a_j)). Returns
+    (iid, j, f_i(a_j), g_i(a_j)) in (iid, j) order for every instance
+    of sent[j] whose points from j are missing or differ. A party with
+    no pair self-complains instead."""
+    out = []
+    for j, (iids, u, v) in sent.items():
+        got, us, vs = recv.get(j, ((), u[:0], v[:0]))
+        if got == iids:
+            bad = (us != v) | (vs != u)
+        else:
+            # align j's stack to iids once; a missing instance stays bad
+            pos = {iid: k for k, iid in enumerate(got)}
+            at = np.array([pos.get(iid, -1) for iid in iids])
+            k = np.flatnonzero(at >= 0)
+            bad = np.ones(u.shape, dtype=bool)
+            bad[k] = (us[at[k]] != v[k]) | (vs[at[k]] != u[k])
+        # copies: a view would keep the whole stack alive in the transcript
+        out += [(iids[k], j, u[k].copy(), v[k].copy())
+                for k in np.flatnonzero(bad.reshape(len(iids), -1).any(1))]
+    return sorted(out, key=lambda c: c[:2])
 
 
 def reveals_for(deal, selfs, claims):
@@ -214,9 +227,12 @@ def run_evss_batch(network,
 
     All instances must share one (degree, value shape). Returns
     {iid: EvssOutcome}. Each party evaluates the pairs it holds at the
-    other workers once: the cross round sends those points, and
-    complaints_for checks them against the stacks the party received.
-    Claims about and reveals for a non-worker are ignored. An instance
+    other workers once. In the cross round worker i sends worker j the
+    points of exactly the instances it holds that neither i nor j
+    dealt, one envelope per ordered pair that has any, and
+    complaints_for checks them against the stack j sent back. Points
+    on an instance dealt by either end are never read. Claims about
+    and reveals for a non-worker are ignored. An instance
     nobody complained about finishes at the complaint round; the
     resolve and vote rounds run only when something was contested.
     """
@@ -269,21 +285,33 @@ def run_evss_batch(network,
                         and iid not in states[i]:
                     states[i][iid] = (fs[k], gs[k])
 
-    # round 2: cross evaluations of every held instance at the others
+    # round 2: worker i sends worker j the points of every instance it
+    # holds that neither of them dealt: a check with the dealer at one
+    # end decides nothing, since the dealer chose both of its sides
     outboxes = {}
-    sent_cross = {}
+    sent = {}
+    ids_of = {}     # two parties holding the same ids share one tuple
     for i in workers:
         held = tuple(sorted(states[i]))
-        others = tuple(j for j in workers if j != i)
-        # (d+1, K, rows, cols) -> u[x, k] = f_k(alpha_others[x])
-        u, v = (horner(np.stack([states[i][iid][c] for iid in held], axis=1),
-                       others, p) if held else None for c in (0, 1))
-        sent_cross[i] = (held, others, u, v)
-        outboxes[i] = [(PRIV, j, ("evx", held, u[x], v[x]))
-                       for x, j in enumerate(others) if held]
+        sent[i] = {}
+        if held:
+            dealt = np.array([registry[iid]["dealer"] for iid in held])
+            # (d+1, K, rows, cols) -> u[x, k] = f_k(alpha_others[x])
+            others = tuple(j for j in workers if j != i)
+            u, v = (horner(np.stack([states[i][iid][c] for iid in held],
+                                    axis=1), others, p) for c in (0, 1))
+            for x, j in enumerate(others):
+                keep = (dealt != i) & (dealt != j)
+                if keep.any():
+                    key = (held, min(i, j), max(i, j))
+                    if key not in ids_of:
+                        ids_of[key] = tuple(compress(held, keep.tolist()))
+                    sent[i][j] = (ids_of[key], u[x, keep], v[x, keep])
+        outboxes[i] = [(PRIV, j, ("evx",) + stack)
+                       for j, stack in sent[i].items()]
     inboxes = network.exchange(f"{prefix}:cross", outboxes, **ctx)
 
-    # recv[i][j] = (position map, U stack, V stack), validated on ingest
+    # recv[i][j] = (iids, U stack, V stack), validated on ingest
     recv = {i: {} for i in workers}
     points = Field((None,) + tuple(shape), p)
     for i in workers:
@@ -292,24 +320,25 @@ def run_evss_batch(network,
             if sender not in workers or sender == i or sender in recv[i]:
                 continue
             if len(set(iids)) == len(iids) == len(us) == len(vs):
-                recv[i][sender] = ({iid: k for k, iid in enumerate(iids)},
-                                   us, vs)
+                recv[i][sender] = (iids, us, vs)
 
     def cross_views(i, iid):
-        """{sender: (u, v)} as vote_for expects."""
+        """{sender: (u, v)} as vote_for expects, from the senders that
+        owe i points on iid: neither end dealt it."""
+        dealer = registry[iid]["dealer"]
         out = {}
-        for j, (pos, us, vs) in recv[i].items():
-            if iid in pos:
-                out[j] = (us[pos[iid]], vs[pos[iid]])
+        for j, (iids, us, vs) in recv[i].items():
+            if dealer not in (i, j) and iid in iids:
+                k = iids.index(iid)
+                out[j] = (us[k], vs[k])
         return out
 
     # round 3: ("evc", self-complained ids, ((iid, j, u, v), ...) pair
     # claims); a party self-complains about every instance it lacks
     outboxes = {}
     for i in workers:
-        held, others, u, v = sent_cross[i]
-        missing = tuple(iid for iid in all_iids if iid not in held)
-        pairs = tuple(complaints_for(held, others, u, v, recv[i]))
+        missing = tuple(iid for iid in all_iids if iid not in states[i])
+        pairs = tuple(complaints_for(sent[i], recv[i]))
         outboxes[i] = [(BCAST, -1, ("evc", missing, pairs))] \
             if missing or pairs else []
     inboxes = network.exchange(f"{prefix}:complain", outboxes, **ctx)

@@ -508,13 +508,17 @@ _READS = ("mul", "add", "transpose", "d2r", "r2d", "reveal")
 def check_program(program, n_inputs):
     """Refuse a program, before any round runs, if an op has an unknown
     kind, reads a register no earlier op wrote, or shares a source
-    index outside [0, n_inputs)."""
+    index outside [0, n_inputs) or in a direction other than direct
+    and reverse."""
     defined = set()
     for op in program:
         op = ProgramOp(*op)
         if op.kind == "share":
             if not 0 <= op.args[0] < n_inputs:
                 raise ParameterViolation(f"no input {op.args[0]}")
+            if op.args[1] not in (DIRECT, REVERSE):
+                raise ParameterViolation(
+                    f"unknown direction {op.args[1]!r}")
         elif op.kind not in _READS:
             raise ParameterViolation(f"unknown op kind {op.kind!r}")
         elif not defined.issuperset(op.args):

@@ -7,7 +7,9 @@ rules (complaints_for, reveals_for, vote_for and the revealed-pair
 form _pair_form from compc.evss), so the tests can replay a batch
 transcript through it and demand the same verdicts and shares. Its
 party holds one instance, so it calls complaints_for, which decides
-over a party's whole batch, with a batch of one. Like the batch, it
+over a party's whole batch, with a batch of one. Like the batch, the
+dealer sends no cross message and reads none, and no other party
+sends the dealer one or reads one from it. Also like the batch, it
 drops cross points that are not field arrays of the value shape, and
 claims about and reveals for a non-worker. It is slow and exists only
 for tests.
@@ -67,8 +69,13 @@ class EvssParty:
         return tuple(range(1, self.n + 1))
 
     @property
-    def others(self):
-        return tuple(j for j in self.workers if j != self.party)
+    def peers(self):
+        """The workers this party exchanges cross points with: none for
+        the dealer, and every other worker but the dealer otherwise."""
+        if self.party == self.dealer:
+            return ()
+        return tuple(j for j in self.workers
+                     if j not in (self.party, self.dealer))
 
     @property
     def contested(self):
@@ -103,7 +110,7 @@ def evss_round(state, inbox):
                     state.polys = pair
         if state.polys is not None:
             fc, gc = state.polys
-            for j in state.others:
+            for j in state.peers:
                 out.append(EvssMsg("cross", state.party, PRIV,
                                    (j, horner(fc, [j], p)[0],
                                     horner(gc, [j], p)[0])))
@@ -113,20 +120,21 @@ def evss_round(state, inbox):
     if state.phase == "complain":
         point = Field(tuple(state.shape), p)
         for msg in inbox:
-            if msg.kind == "cross" and msg.sender in state.others \
+            if msg.kind == "cross" and msg.sender in state.peers \
                     and msg.sender not in state.cross_in \
                     and _fits(msg.body[1:], (point, point)):
                 state.cross_in[msg.sender] = (msg.body[1], msg.body[2])
         if state.party in state.workers:
             claims = {}
             if state.polys is not None:
-                # one instance: own points (N-1, 1, r, c), stacks of one
-                u, v = (horner(c, state.others, p)[:, None]
-                        for c in state.polys)
-                recv = {j: ({0: 0}, cu[None], cv[None])
+                # one instance: own points and received ones, stacks of one
+                sent = {j: ((0,),) + tuple(horner(c, [j], p)
+                                           for c in state.polys)
+                        for j in state.peers}
+                recv = {j: ((0,), cu[None], cv[None])
                         for j, (cu, cv) in state.cross_in.items()}
                 claims = {j: (cu, cv) for _, j, cu, cv in complaints_for(
-                    (0,), state.others, u, v, recv)}
+                    sent, recv)}
             if state.polys is None or claims:
                 out.append(EvssMsg("complain", state.party, BCAST,
                                    (state.polys is None, claims)))

@@ -112,31 +112,33 @@ def _pair_for(deal, i):
 
 
 def test_complaints_missing_and_mismatched_senders():
-    # party 2 holds instances "a" and "b"; an honest j sends it the
-    # stacks (g_2(a_j), f_2(a_j)) = (S(a_2, a_j), S(a_j, a_2)), here in
-    # the order ("b", "a") to exercise the position map
+    # party 2 holds instances "a" and "b", dealt by neither it nor any j
+    # below, and sent j the points (f_2(a_j), g_2(a_j)) of both; an
+    # honest j sends it back (g_2(a_j), f_2(a_j)) = (S(a_2, a_j),
+    # S(a_j, a_2)), here in the order ("b", "a") to exercise the
+    # alignment, and in the sent order from 4
     deals = [evss_deal(FMatrix(np.array([[w]]), P), ShareLabel(1, 1, 0),
                        np.random.default_rng(w)) for w in (5, 6)]
     held, others = ("a", "b"), (1, 3, 4)
-    u, v = (np.stack([horner(d.polys_for(2)[c], others, P) for d in deals],
-                     axis=1) for c in (0, 1))
+    sent = {j: (held,) + tuple(np.stack([horner(d.polys_for(2)[c], [j], P)[0]
+                                         for d in deals]) for c in (0, 1))
+            for j in others}
 
     def stack(j, iids):
         ds = [deals[held.index(iid)] for iid in iids]
-        return ({iid: k for k, iid in enumerate(iids)},
-                np.stack([grid_value(d, 2, j) for d in ds]),
+        return (iids, np.stack([grid_value(d, 2, j) for d in ds]),
                 np.stack([grid_value(d, j, 2) for d in ds]))
 
-    good = {j: stack(j, ("b", "a")) for j in others}
-    assert complaints_for(held, others, u, v, good) == []
+    good = {j: stack(j, ("b", "a") if j != 4 else held) for j in others}
+    assert complaints_for(sent, good) == []
     bad = dict(good)
     del bad[1]                      # 1 sent nothing
     bad[3] = stack(3, ("b",))       # 3 lacks "a"
-    pos, us, vs = bad[4]            # 4's value for "b" is off
+    iids, us, vs = bad[4]           # 4's value for "b" is off
     us = us.copy()
-    us[pos["b"]] = (us[pos["b"]] + 1) % P
-    bad[4] = (pos, us, vs)
-    got = complaints_for(held, others, u, v, bad)
+    us[iids.index("b")] = (us[iids.index("b")] + 1) % P
+    bad[4] = (iids, us, vs)
+    got = complaints_for(sent, bad)
     assert [(iid, j) for iid, j, _, _ in got] == \
         [("a", 1), ("a", 3), ("b", 1), ("b", 4)]
     for iid, j, cu, cv in got:
@@ -144,6 +146,11 @@ def test_complaints_missing_and_mismatched_senders():
         assert np.array_equal(cu, horner(fc, [j], P)[0])
         assert np.array_equal(cv, horner(gc, [j], P)[0])
         assert cu.base is None and cv.base is None    # copies, not views
+    # points from j on instances the party sent j none of (here: 3
+    # dealt both) are never read, however wrong
+    iids, us, vs = good[3]
+    del sent[3]
+    assert complaints_for(sent, {**good, 3: (iids, (us + 1) % P, vs)}) == []
 
 
 def test_reveals_only_for_wrong_claims_and_self():
@@ -255,8 +262,9 @@ def test_machine_honest_accepts_with_minimum_messages(m, t, delta):
     verdicts, _, sent = run_machine(n, t, lab, (2 * m, 2), P, 1, deal)
     assert all(v.accepted for v in verdicts.values())
     check_shares_form_secret(verdicts, lab, w, n, P)
-    # early accept: deals + crosses only
-    assert len(sent) == (n - 1) + n * (n - 1)
+    # early accept: deals + crosses only, and no cross message has the
+    # dealer at either end
+    assert len(sent) == (n - 1) + (n - 1) * (n - 2)
 
 
 def test_machine_external_source_dealer():
@@ -620,6 +628,80 @@ def test_reveals_for_non_workers_are_ignored(who):
         assert verdicts[i].accepted == base_verdicts[i].accepted
         assert np.array_equal(verdicts[i].share, base_verdicts[i].share)
         assert np.array_equal(verdicts[i].share, out.shares[i])
+
+
+def shift_f0(f):
+    """f coefficients, one pair's (d+1, r, c) or a stack of them, with
+    1 added to the constant coefficient f_0."""
+    f = f.copy()
+    f[..., 0, :, :] = (f[..., 0, :, :] + 1) % P
+    return f
+
+
+class OneVictimDealer:
+    """Dealer 1 shifts f_0 of the pair it deals party `victim`, so that
+    party alone holds a wrong share; with `answers` False it also
+    leaves every complaint unanswered."""
+
+    def __init__(self, victim, answers):
+        self.victim, self.answers = victim, answers
+
+    def filter(self, ctx, outboxes):
+        if ctx["phase"].endswith(":deal"):
+            outboxes[1] = [
+                (ch, to, (tag, iids, shift_f0(fs), gs)) if to == self.victim
+                else (ch, to, (tag, iids, fs, gs))
+                for ch, to, (tag, iids, fs, gs) in outboxes[1]]
+        if not self.answers and ctx["phase"].endswith(":resolve"):
+            outboxes[1] = []
+        return outboxes
+
+
+def assert_rejected_or_fits(accepted, shares, label, honest):
+    """AC03's outcome: the sharing is rejected, or every honest party
+    holds a share and the shares fit one polynomial of the label's
+    degree."""
+    if accepted:
+        vals = [shares[i] for i in honest]
+        assert all(v is not None for v in vals)
+        assert fit_poly(list(honest), vals, label.degree, P) is not None
+
+
+@pytest.mark.parametrize("side", ["batch", "machine"])
+@pytest.mark.parametrize("answers", [True, False])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_victim_dealer_is_caught(side, answers, seed):
+    """A dealer that shifts one honest party's f_0 cannot get that
+    party's wrong share accepted, whether or not it answers the
+    complaints; the victim's own cross check with each honest
+    non-dealer is what catches it. (With only f_j(a_i) against
+    g_i(a_j) compared, the victim sees nothing, and the batch and the
+    machine accept the wrong share.)"""
+    victim, honest = 3, (2, 3, 4, 5)
+    lab = ShareLabel(1, 1, 0)
+    rng = np.random.default_rng(seed)
+    deal = evss_deal(rand_matrix(rng, 2, 2), lab, rng)
+    s = batch_scenario(seed=seed)
+    if side == "batch":
+        net = fresh_net(s)
+        net.adversary = OneVictimDealer(victim, answers)
+        out = run_evss_batch(net, scenario=s, prefix="x", instances=[
+            BatchInstance("q", 1, lab, deal)])["q"]
+        accepted, shares = out.accepted, out.shares
+    else:
+        def tamper(rnd, sender, msgs):
+            if sender == 1 and rnd == 0:
+                return [m._replace(body=(victim, shift_f0(m.body[1]),
+                                         m.body[2]))
+                        if m.body[0] == victim else m for m in msgs]
+            return [] if sender == 1 and rnd == 3 and not answers else msgs
+
+        verdicts, _, _ = run_machine(s.n, s.t, lab, (2, 2), P, 1, deal,
+                                     tamper)
+        assert len({verdicts[i].accepted for i in honest}) == 1
+        accepted = verdicts[victim].accepted
+        shares = {i: verdicts[i].share for i in honest}
+    assert_rejected_or_fits(accepted, shares, lab, honest)
 
 
 def test_batch_deterministic_transcript():

@@ -855,9 +855,10 @@ def test_execute_is_deterministic():
 
 
 def test_execute_rejects_unknown_ops(monkeypatch):
-    """An unknown op kind, a register read before any op writes it and
-    a SHARE of a source without an input are refused before the first
-    round: no Network.exchange call happens."""
+    """An unknown op kind, a register read before any op writes it, a
+    SHARE of a source without an input and a SHARE in an unknown
+    direction are refused before the first round: no Network.exchange
+    call happens."""
     p = 13
     x = np.zeros((2, 2), dtype=np.int64)
     mul = [ProgramOp("share", (0, DIRECT), "ra"),
@@ -872,7 +873,8 @@ def test_execute_rejects_unknown_ops(monkeypatch):
                     mul[:2] + [ProgramOp("add", ("ra", "rc"), "rd")],
                     [ProgramOp("transpose", ("ra",), "ra")] + mul,
                     [ProgramOp("share", (-1, DIRECT), "ra")],
-                    mul[:1] + [ProgramOp("share", (2, REVERSE), "rb")]):
+                    mul[:1] + [ProgramOp("share", (2, REVERSE), "rb")],
+                    mul[:1] + [ProgramOp("share", (1, "sideways"), "rb")]):
         s = program_scenario(4, 1, 1, 2, p, 0, [x, x], program)
         with pytest.raises(ParameterViolation):
             execute(s)

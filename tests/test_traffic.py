@@ -7,10 +7,16 @@ party one deal envelope ("evd", iids, f stack, g stack) holding
 2·K·(d+1)·r·c field elements for its K instances of degree d and
 value shape (r, c). The mask batch (…mul:o) deals
 G = ⌈(m+t-1)/(2m-1)⌉ instances per worker at degree
-D = min(2m-1, m+t-1) + t - 1, so its cross round carries 2·G·z·w
-field elements per dealer and ordered pair of workers: one envelope per
-pair, holding the cross points of all N·G instances.
+D = min(2m-1, m+t-1) + t - 1.
+
+In the cross round, worker i sends worker j one envelope ("evx", iids,
+U, V) with the points of every instance that neither i nor j dealt:
+2·(K - K_i - K_j)·r·c field elements for a batch of K instances of
+which i dealt K_i and j dealt K_j. The mask batch's envelopes therefore
+hold 2·(N-2)·G·z·w.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -113,5 +119,33 @@ def test_mask_cross_round_per_ordered_pair(m, t):
     pairs = {(e.sender, e.recipient) for e in cross}
     assert len(cross) == len(pairs) == s.n * (s.n - 1)
     for e in cross:
-        assert len(e.payload[1]) == s.n * g
-        assert field_elements(e.payload) == s.n * 2 * g * s.z * (s.z // m)
+        assert len(e.payload[1]) == (s.n - 2) * g
+        assert field_elements(e.payload) == \
+            2 * (s.n - 2) * g * s.z * (s.z // m)
+
+
+@pytest.mark.parametrize("m,t", SHAPES)
+def test_cross_envelopes_skip_what_either_end_dealt(m, t):
+    s, tr = honest_multiply(m, t)
+    batches = expected_batches(m, t, s.z)
+    dealer = {}     # batch prefix -> {iid: dealer}
+    for e in tr.envelopes:
+        if e.phase.endswith(":deal"):
+            dealer.setdefault(e.phase.rsplit(":", 1)[0], {}).update(
+                dict.fromkeys(e.payload[1], e.sender))
+    cross = [e for e in tr.envelopes if e.phase.endswith(":cross")]
+    assert {e.phase.rsplit(":", 1)[0] for e in cross} == set(dealer)
+    for prefix, of in dealer.items():
+        _, _, (r, c) = batches[f"{prefix}:deal"]
+        k = Counter(of.values())
+        owed = {(i, j): len(of) - k[i] - k[j] for i in s.workers
+                for j in s.workers if i != j}
+        sent = [e for e in cross if e.phase == f"{prefix}:cross"]
+        assert sorted((e.sender, e.recipient) for e in sent) == \
+            sorted(pair for pair in owed if owed[pair])
+        for e in sent:
+            assert e.channel == PRIV and e.payload[0] == "evx"
+            assert not {of[iid] for iid in e.payload[1]} \
+                & {e.sender, e.recipient}
+            assert field_elements(e.payload) == \
+                2 * owed[e.sender, e.recipient] * r * c, (e.phase, e.sender)

@@ -261,12 +261,12 @@ def test_byzantine_transcript_parses_back():
     assert_envelopes_parse_back(tr)
 
 
-# pinned when one :res broadcast of the accused's cross values began
-# to settle the product complaint against party 6 (it was re-shared
-# before); the revealed product and the elimination are unchanged
+# pinned when the EVSS cross round stopped sending the points of an
+# instance dealt by the sender or the recipient; the revealed product
+# and the elimination of party 6 are unchanged
 GOLDEN_SHA256 = \
-    "77717d904aca8f0aa02b1a262cb7a2ced5c7c45c965288bf3d0465867ee17bb7"
-GOLDEN_BYTES = 57_541
+    "8217259737a216e4723d14f1b5293bfe6a8215d03cc3181cd08089312f6c0b99"
+GOLDEN_BYTES = 51_301
 GOLDEN_MASTER = \
     "master=642e8e050764e67a63a82d39c88293b2f303e30cfdd4aab049e4935c86106e9e"
 
@@ -283,16 +283,20 @@ def test_golden_threshold_transcript(tmp_path, capsys):
 
 def cross_claims(envelopes, prefix, i, workers, p):
     """The pair claims party i owes on batch `prefix`, recomputed from
-    the cross envelopes alone: for each instance i holds and each other
-    worker j, i's own points sent to j, (f_i(a_j), g_i(a_j)), whenever
-    j's stack to i is missing, malformed, lacks the instance, or does
-    not carry (g_i(a_j), f_i(a_j))."""
+    the transcript alone: for each instance i holds and each other
+    worker j such that neither i nor j dealt it (its dealer is the
+    sender of its deal envelopes), i's own points sent to j,
+    (f_i(a_j), g_i(a_j)), whenever j's stack to i is missing,
+    malformed, lacks the instance, or does not carry (g_i(a_j),
+    f_i(a_j))."""
+    dealer = {iid: e.sender for e in envelopes
+              if e.phase == f"{prefix}:deal" for iid in e.payload[1]}
     cross = [e for e in envelopes if e.phase == f"{prefix}:cross"]
     mine = {e.recipient: e.payload for e in cross if e.sender == i}
     if not mine:
         return []
-    _, held, us, _ = next(iter(mine.values()))
-    point = Field((None,) + us.shape[1:], p)
+    held = sorted({iid for _, iids, _, _ in mine.values() for iid in iids})
+    point = Field((None,) + next(iter(mine.values()))[2].shape[1:], p)
     got = {}
     for e in cross:
         _, iids, us, vs = e.payload
@@ -301,11 +305,12 @@ def cross_claims(envelopes, prefix, i, workers, p):
                 and len(set(iids)) == len(iids) == len(us) == len(vs):
             got[e.sender] = {iid: (us[k], vs[k]) for k, iid in enumerate(iids)}
     out = []
-    for k, iid in enumerate(held):
+    for iid in held:
         for j in workers:
-            if j == i:
+            if j in (i, dealer[iid]):
                 continue
-            _, _, us, vs = mine[j]
+            _, iids, us, vs = mine[j]
+            k = iids.index(iid)
             back = got.get(j, {}).get(iid)
             if back is None or not (np.array_equal(back[0], vs[k])
                                     and np.array_equal(back[1], us[k])):
