@@ -18,7 +18,7 @@ m-1) and its right row pieces (piece j with gap m-1-j) as m+1 verified
 families. Each family deals through its own EVSS batch (at m = 1 the
 two families have the same gap and shape and share one), and a dealer
 a batch rejects deals in no later one; all families then share one
-syndrome broadcast and one gap-parity broadcast, so an honest multiply
+syndrome broadcast and one gap-coefficient broadcast, so an honest multiply
 takes 3m + 12 rounds for m >= 2 and t >= 1. Each worker derives its
 masks and product polynomial from the polynomials it dealt and deals
 them through the consistency layer, and each worker checks the product

@@ -325,8 +325,8 @@ class Silent(Strategy):
 
 class RandomByzantine(Strategy):
     """Drops or perturbs messages while keeping them well-typed. Each
-    (party, phase) draws from its own stream, so the size of one
-    phase's payloads does not shift the mutations of any other."""
+    envelope of a (party, phase) outbox draws from its own stream, so
+    the size of one payload does not shift the mutations of any other."""
 
     def _mutate(self, obj, rng):
         p = self.shared["p"]
@@ -339,10 +339,10 @@ class RandomByzantine(Strategy):
         return obj
 
     def act(self, ctx, outbox):
-        rng = rng_for(ctx["scenario"].seed, self.party,
-                      f"adversary:RandomByzantine:{ctx['phase']}")
         out = []
-        for channel, recipient, payload in outbox:
+        for k, (channel, recipient, payload) in enumerate(outbox):
+            rng = rng_for(ctx["scenario"].seed, self.party,
+                          f"adversary:RandomByzantine:{ctx['phase']}:{k}")
             roll = rng.random()
             if roll < 0.2:
                 continue

@@ -19,21 +19,21 @@ number of values it checks:
     the codeword are eliminated.
   - verify_gap_form and eval_shared_poly open values of EVSS-dealt
     polynomials from the cross polynomials alone, in one broadcast
-    (_open_cross). A dealer embeds Q in a bivariate S of degree d with
-    S(0, y) = Q(y), and party i holds g_i(y) = S(alpha_i, y). For
-    points beta_b and weights w_b, party i broadcasts
-    sum_b w_b g_i(beta_b): over the live parties a word of
-    P(x) = sum_b w_b S(x, beta_b), of degree d, with
-    P(0) = sum_b w_b Q(beta_b). Honest rows lie on P once the EVSS is
-    accepted; the word is decoded publicly, and a row off it
-    eliminates its sender.
-    verify_gap_form weighs the live points with the parity matrix of
-    the gapped code: P(0) is the gap parity of an origin's subshare,
-    and a nonzero one eliminates the origin. For an honest origin
-    P(0) = 0, and what any t parties see of the deal and the rows does
-    not depend on Q(0) (the test suite checks this exactly with a rank
-    test). eval_shared_poly takes the one point `target`: the word is
-    f_target(x) = S(x, target), which the party at target holds
+    (_open_cross). A dealer embeds Q in a bivariate
+    S(x, y) = sum_a S_a(x) y^a of degree d with S(0, y) = Q(y), and
+    party i holds g_i(y) = S(alpha_i, y), whose y^a coefficient is
+    S_a(alpha_i). For a weight row w over those coefficients, party i
+    broadcasts sum_a w_a S_a(alpha_i): over the live parties a word of
+    P(x) = sum_a w_a S_a(x), of degree d, with P(0) = sum_a w_a Q_a.
+    Honest rows lie on P once the EVSS is accepted; the word is decoded
+    publicly, and a row off it eliminates its sender.
+    verify_gap_form takes the unit rows 1..zeta-1: P(0) is the gap
+    coefficient Q_a of an origin's subshare, and a nonzero one
+    eliminates the origin. For an honest origin every P(0) = 0, and
+    what any t parties see of the deal and the rows does not depend on
+    Q(0) (the test suite checks this exactly with a rank test).
+    eval_shared_poly takes the powers of the one point `target`: the
+    word is f_target(x) = S(x, target), which the party at target holds
     already, and P(0) = Q(target).
 
 Within a shared round every word is decoded against the same active
@@ -340,12 +340,13 @@ def verify_gap_form(network, scenario, prefix, active, families):
 
     families: [{origin: SubshareBundle}] from one subshare_of_shares
     call; families without a gap (zeta < 2) are skipped, and nothing
-    runs when none is left. Otherwise one broadcast on <prefix>:par
-    opens every checked origin's gap parity at degree zeta+t-1; a
-    nonzero one eliminates the origin with BadGapForm. Returns the
-    updated ActiveSet.
+    runs when none is left. Otherwise each live party broadcasts on
+    <prefix>:par coefficients 1..zeta-1 of the g it holds from every
+    checked origin's deal; each word opens at degree zeta+t-1 to a gap
+    coefficient of the origin's subshare, and a nonzero one eliminates
+    the origin with BadGapForm. Returns the updated ActiveSet.
     """
-    p, t = scenario.p, scenario.t
+    t = scenario.t
     live = active.active
     checks, parts = [], []
     for bundles in families:
@@ -354,18 +355,16 @@ def verify_gap_form(network, scenario, prefix, active, families):
             continue
         zeta = bundles[checked[0]].zeta
         shape = next(iter(bundles[checked[0]].values.values())).shape
-        # P_o(alpha_i) = sum_j H_j g_i(alpha_j) = (H V) @ (g_i's coeffs)
-        h = build_code(live, (0,) + tuple(range(zeta, zeta + t)), p).H
         parts.append(([bundles[o].g for o in checked],
-                      mat_mul(h, vandermonde(live, zeta + t, p), p),
+                      np.eye(zeta + t, dtype=np.int64)[1:zeta],
                       zeta + t - 1, shape))
         checks.append(checked)
 
     before = set(active.eliminated)
     consts = _open_cross(network, scenario, f"{prefix}:par", active, parts)
     for checked, const in zip(checks, consts):
-        for o, parity in zip(checked, const):
-            if parity.any():
+        for o, gap in zip(checked, const):
+            if gap.any():
                 active.eliminate(o, BAD_GAP)
     _record_eliminations(network, prefix, before, active)
     return active

@@ -28,7 +28,8 @@ from compc.gf import DEFAULT_PRIME, FMatrix, mat_mul, rref
 from compc.mpc import ProgramOp, build_masks, mask_layout, masked_product
 from compc.net import (BCAST, PRIV, Envelope, Network, Scenario,
                        Transcript)
-from compc.poly import MatPoly
+from compc.poly import MatPoly, vandermonde
+from compc.rscode import build_code
 from compc.sharing import ShareLabel, make_share_poly
 from compc.subroutines import ActiveSet, SubshareBundle, verify_gap_form
 
@@ -347,7 +348,7 @@ def gap_view(n, t, m, p, secret, draws, leak):
     The origin deals Q(y) = F + R_1 y^m + ... + R_t y^(m+t-1) through
     the real dealing code on scripted draws (the t masks, then rows
     1..d of the bivariate; row 0 is Q), and a real verify_gap_form
-    broadcasts the parity rows. Returns every worker's f and g
+    broadcasts the gap coefficients. Returns every worker's f and g
     coefficients, then every worker's broadcast rows, flattened. leak
     adds F to the first gap coefficient.
     """
@@ -414,8 +415,27 @@ def gap_observer_sets(n, t):
     return [(2, 3), (2, n), (n // 2, n // 2 + 1), (n - 1, n)]
 
 
+@pytest.mark.parametrize("p,n,t,m", GAP_SHAPES)
+def test_parity_rows_span_the_gap_coefficients(p, n, t, m):
+    """Why broadcasting g_i's gap coefficients shows what the parity
+    rows showed. The gap check used to send H·V applied to each g_i,
+    with H the parity matrix of the code of polynomials supported on
+    y^0 and y^m..y^(m+t-1) over the live points and V their Vandermonde
+    matrix. H·V vanishes in exactly those columns and has rank m - 1,
+    so its rows are M times the unit rows 1..m-1 sent now, with M of
+    full column rank: the two views span the same space, and the
+    parity checks vanish exactly when every gap coefficient does."""
+    live = tuple(range(1, n + 1))
+    h = build_code(live, (0,) + tuple(range(m, m + t)), p).H
+    hv = mat_mul(h, vandermonde(live, m + t, p), p)
+    assert hv.shape == (n - t - 1, m + t)
+    assert not hv[:, 0].any() and not hv[:, m:].any()
+    assert len(rref(hv, p)[1]) == len(rref(hv[:, 1:m], p)[1]) == m - 1
+
+
 class TestGapParityAudit:
-    """The gap check's parity broadcast (`…:par`) hides the secret.
+    """The gap check's broadcast of gap coefficients (`…:par`) hides the
+    secret.
 
     Honest rows lie on a degree-d polynomial with a public zero
     constant, so they are not derivable from t observers' own inputs;

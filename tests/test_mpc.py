@@ -594,7 +594,7 @@ def test_grouped_masks_catch_an_interpolating_dealer():
 def test_honest_multiply_round_count(m):
     # SHARE/SHARE/MUL/REVEAL: 19 + 3m rounds. The m + 1 re-sharing
     # families deal in their own EVSS batches (3 rounds each) but share
-    # one syndrome round and one gap-parity round
+    # one syndrome round and one gap-coefficient round
     t, p = 1, 97
     n, z = 3 * t + 2 * m - 1, 2 * m
     rng = np.random.default_rng(40 + m)

@@ -103,6 +103,34 @@ def test_random_byzantine_draws_one_stream_per_phase():
             {ph: v for ph, v in base.items() if ph != padded}
 
 
+def test_random_byzantine_draws_one_stream_per_envelope():
+    """Padding one envelope's payload leaves every other envelope of the
+    same phase as it was: each envelope of an outbox draws from its own
+    stream, so whether it is dropped or garbled, and how, does not
+    depend on the size of the payloads before it."""
+    s = scen(adversaries=((2, "RandomByzantine"),))
+    rng = np.random.default_rng(1)
+    stacks = [rng.integers(0, 13, size=(3, 2, 2)) for _ in range(8)]
+
+    def sent(padded):
+        pad = np.zeros((5, 2, 2), dtype=np.int64)
+        outbox = [(PRIV, 1, ("to", k, np.concatenate([x, pad]) if
+                             k == padded else x))
+                  for k, x in enumerate(stacks)]
+        net = Network(s, Transcript())
+        net.exchange("x:syn", {2: outbox})
+        # the mutation keeps the int, so it names the envelope
+        return {e.payload[1]: encode(e.payload)
+                for e in net.transcript.envelopes}
+
+    base = sent(None)
+    assert any(v != encode(("to", k, stacks[k])) for k, v in base.items())
+    for padded in range(4):
+        other = sent(padded)
+        assert {k: v for k, v in other.items() if k != padded} == \
+            {k: v for k, v in base.items() if k != padded}
+
+
 # ---------------------------------------------------------------------------
 # payload forms: tagged yields only what fits and never raises
 

@@ -32,8 +32,15 @@ def test_three_runs_equal_themselves_and_a_changed_field_is_named(
     out.write_text("".join(json.dumps(r, sort_keys=True) + "\n"
                            for r in rows))
 
+    def totals(path, rs):
+        return f"totals {path}: " + " ".join(
+            f"{k} {sum(r[k] for r in rs)}"
+            for k in ("field_elements", "envelopes", "rounds", "bytes"))
+
     assert runset.main(["--diff", str(out), str(out)]) == 0
-    assert capsys.readouterr().out == "0 runs differ\n"
+    assert capsys.readouterr().out.splitlines() == [
+        "0 runs differ", totals(out, rows), totals(out, rows)]
+    before = totals(out, rows)
 
     rows[1]["rounds"] += 1
     changed = tmp_path / "changed.jsonl"
@@ -41,4 +48,11 @@ def test_three_runs_equal_themselves_and_a_changed_field_is_named(
     assert runset.main(["--diff", str(out), str(changed)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "mulperf/wide-blocks/0: rounds",
-        f"mulperf/byzantine/0: only in {out}", "2 runs differ"]
+        f"mulperf/byzantine/0: only in {out}", "2 runs differ",
+        before, totals(changed, rows[:2])]
+
+    # a run that raised has no counts and adds nothing to the totals
+    failed = dict.fromkeys(rows[0], None) | {"run": "x", "error": "E: e"}
+    changed.write_text("".join(json.dumps(r) + "\n"
+                               for r in rows[:2] + [failed]))
+    assert runset.totals(changed) == totals(changed, rows[:2])

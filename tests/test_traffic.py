@@ -14,6 +14,11 @@ U, V) with the points of every instance that neither i nor j dealt:
 2·(K - K_i - K_j)·r·c field elements for a batch of K instances of
 which i dealt K_i and j dealt K_j. The mask batch's envelopes therefore
 hold 2·(N-2)·G·z·w.
+
+In the gap check (…:par) every live worker broadcasts, for each family
+with gap ζ ≥ 2 and each checked origin, coefficients 1..ζ-1 of the g it
+holds from that origin's deal: Σ_f |checked_f|·(ζ_f - 1)·r_f·c_f field
+elements per envelope.
 """
 
 from collections import Counter
@@ -23,7 +28,7 @@ import pytest
 
 from compc.gf import FMatrix
 from compc.mpc import ProgramOp, execute
-from compc.net import PRIV, Scenario
+from compc.net import BCAST, PRIV, Scenario
 
 P = 97
 
@@ -149,3 +154,46 @@ def test_cross_envelopes_skip_what_either_end_dealt(m, t):
                 & {e.sender, e.recipient}
             assert field_elements(e.payload) == \
                 2 * owed[e.sender, e.recipient] * r * c, (e.phase, e.sender)
+
+
+def gap_families(m, t, z):
+    """(deal phase, ζ, (r, c)) of every family a MUL gap-checks, in the
+    order of its stacks on r2mul:par; a family dealt at degree d has
+    gap ζ = d - t + 1."""
+    batches = expected_batches(m, t, z)
+    phases = ["r2mul:a:q:deal"] + [f"r2mul:b{j}:q:deal" for j in range(m)]
+    families = [(ph, batches[ph][1] - t + 1, batches[ph][2]) for ph in phases]
+    return [f for f in families if f[1] >= 2]
+
+
+@pytest.mark.parametrize("m,t", SHAPES)
+def test_gap_envelopes_hold_the_gap_coefficients(m, t):
+    s, tr = honest_multiply(m, t)
+    families = gap_families(m, t, s.z)
+    checked = [len({e.sender for e in tr.envelopes if e.phase == phase})
+               for phase, _, _ in families]
+    par = [e for e in tr.envelopes if e.phase.endswith(":par")]
+    assert sorted(e.sender for e in par) == list(s.workers)
+    for e in par:
+        assert e.phase == "r2mul:par" and e.channel == BCAST
+        assert field_elements(e.payload) == sum(
+            k * (zeta - 1) * r * c
+            for k, (_, zeta, (r, c)) in zip(checked, families))
+
+
+@pytest.mark.parametrize("m,t", SHAPES)
+def test_gap_rows_are_the_coefficients_each_party_was_dealt(m, t):
+    s, tr = honest_multiply(m, t)
+    rows = {e.sender: e.payload[1] for e in tr.envelopes
+            if e.phase == "r2mul:par"}
+    for fx, (phase, zeta, _) in enumerate(gap_families(m, t, s.z)):
+        # ("evd", iids, f stack, g stack): one instance per dealer
+        g = {(e.sender, e.recipient): e.payload[3][0]
+             for e in tr.envelopes if e.phase == phase}
+        origins = sorted({o for o, _ in g})
+        for i, stacks in rows.items():
+            got = stacks[fx].reshape(
+                (len(origins), zeta - 1) + stacks[fx].shape[1:])
+            for o, row in zip(origins, got):
+                if o != i:      # a dealer's own g never travels
+                    assert np.array_equal(row, g[o, i][1:zeta]), (fx, i, o)

@@ -261,12 +261,12 @@ def test_byzantine_transcript_parses_back():
     assert_envelopes_parse_back(tr)
 
 
-# pinned when the EVSS cross round stopped sending the points of an
-# instance dealt by the sender or the recipient; the revealed product
-# and the elimination of party 6 are unchanged
+# pinned when the gap check started broadcasting the gap coefficients
+# 1..zeta-1 of each g in place of N-t-1 parity rows; the revealed
+# product and the elimination of party 6 are unchanged
 GOLDEN_SHA256 = \
-    "8217259737a216e4723d14f1b5293bfe6a8215d03cc3181cd08089312f6c0b99"
-GOLDEN_BYTES = 51_301
+    "46376820cf1f76a025ceb91adcf85005981053bbaf1ee0da60021a78b378df12"
+GOLDEN_BYTES = 49_561
 GOLDEN_MASTER = \
     "master=642e8e050764e67a63a82d39c88293b2f303e30cfdd4aab049e4935c86106e9e"
 

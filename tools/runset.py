@@ -11,7 +11,9 @@ lines, a digest of the revealed output, the typed error a run raised,
 and the rounds, envelopes and field elements as mulperf/traffic.py
 counts them. Run the same script on two checkouts (a parent and a
 change, say) and --diff the two files: it names, for each run, every
-field that differs, and exits 1 if any does or a run is missing.
+field that differs, prints each file's totals of field elements,
+envelopes, rounds and bytes over its runs, and exits 1 if any field
+differs or a run is missing.
 
 The run set (1 018 runs):
   - the six mulperf scenarios at input seed 1;
@@ -139,11 +141,26 @@ def write(tree, path):
             f.write(json.dumps(record(run, s), sort_keys=True) + "\n")
 
 
+TOTALS = ("field_elements", "envelopes", "rounds", "bytes")
+
+
+def load(path):
+    """{run id: record} of one --tree output file."""
+    return {r["run"]: r
+            for r in map(json.loads, Path(path).read_text().splitlines())}
+
+
+def totals(path):
+    """One line with the file's sum of each TOTALS field; a run that
+    raised has none of them and adds nothing."""
+    runs = load(path).values()
+    return f"totals {path}: " + " ".join(
+        f"{k} {sum(r[k] or 0 for r in runs)}" for k in TOTALS)
+
+
 def diff(path_a, path_b):
     """Lines naming every run whose fields differ; empty when equal."""
-    a, b = ({r["run"]: r for r in map(json.loads,
-                                      Path(path).read_text().splitlines())}
-            for path in (path_a, path_b))
+    a, b = load(path_a), load(path_b)
     out = []
     for run in list(a) + [r for r in b if r not in a]:
         if run not in a or run not in b:
@@ -164,7 +181,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.diff:
         lines = diff(*args.diff)
-        print("\n".join(lines + [f"{len(lines)} runs differ"]))
+        print("\n".join(lines + [f"{len(lines)} runs differ"]
+                        + [totals(path) for path in args.diff]))
         return 1 if lines else 0
     if not (args.tree and args.out):
         ap.error("need --tree and --out, or --diff A B")
